@@ -10,20 +10,20 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import BudgetExceeded, ConfigError, DomainError
 from .measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture, IID,
                        Markov, Measure, String)
-from .metrics import DEFAULT_BUDGET, hellinger_restricted, tv_restricted
-from .protocol import BetOrder, ForecastPair, ProtocolState, order_cost
+from .metrics import (DEFAULT_BUDGET, HorizonProfile, hellinger_restricted,
+                      tv_restricted)
+from .protocol import ForecastPair, ProtocolState
 from .scenarios import (ForecasterSpec, RealitySpec, catalog, make_forecaster,
                         make_reality)
-from .strategy import LimWrapConfig, LimWrappedSceptic, MixtureSceptic
+from .strategy import LimWrappedSceptic, MixtureSceptic
 
 TRACE_HEADER = "n,y,h_m,tv_m,log2_k1,log2_k2,log2_geomean,components_active,bet_placed"
 
@@ -246,23 +246,25 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         trace.component_bet_steps = bet_steps
         return trace
 
-    history: String = ()
+    history: List[int] = []
     pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
     state = ProtocolState(alphabet, pair, cfg.budget)
+    capped = HorizonProfile.capped_searches
     for n in range(1, cfg.t + 1):
-        h_m = hellinger_restricted(pair.p_i, pair.p_ii, cfg.m_report,
-                                   budget=cfg.budget)
-        tv_m = tv_restricted(pair.p_i, pair.p_ii, cfg.m_report, cfg.budget)
         before = [c.bets_placed for c in mixture.components]
         o_i, o_ii = sceptic.step_orders(pair)
         for steps, b, c in zip(bet_steps, before, mixture.components):
             if c.bets_placed > b:
                 steps.append(n)
+        # after the horizon search, so an enumerated pair is walked once
+        h_m = hellinger_restricted(pair.p_i, pair.p_ii, cfg.m_report,
+                                   budget=cfg.budget)
+        tv_m = tv_restricted(pair.p_i, pair.p_ii, cfg.m_report, cfg.budget)
         state.place_order("I", o_i)
         state.place_order("II", o_ii)
         y = reality.next(n, history)
         sceptic.settle(y)
-        history = history + (y,)
+        history.append(y)
         pair = ForecastPair(f_i.announce(n + 1, history),
                             f_ii.announce(n + 1, history))
         state.settle_step(y, pair)
@@ -271,6 +273,11 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
         trace.rows.append(TraceRow(
             n, y, h_m, tv_m, lk1, lk2, 0.5 * (lk1 + lk2),
             mixture.last_active, int(mixture.last_bets_placed)))
+    capped = HorizonProfile.capped_searches - capped
+    if capped:
+        logging.getLogger(__name__).warning(
+            "%d horizon searches capped by the enumeration budget of %d "
+            "terms (M_max %d)", capped, cfg.budget, cfg.m_max)
     trace.component_bets = [c.bets_placed for c in mixture.components]
     trace.component_bet_steps = bet_steps
     if cfg.lim_wrap:
@@ -321,7 +328,7 @@ def run_on_path(cfg: ExperimentConfig, path: Sequence[int]) -> Tuple[float, floa
     f_i = make_forecaster(cfg.forecaster_i)
     f_ii = make_forecaster(cfg.forecaster_ii)
     mixture = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
-    history: String = ()
+    history: List[int] = []
     pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
     state = ProtocolState(alphabet, pair, cfg.budget)
     for n, y in enumerate(path, start=1):
@@ -329,7 +336,7 @@ def run_on_path(cfg: ExperimentConfig, path: Sequence[int]) -> Tuple[float, floa
         state.place_order("I", o_i)
         state.place_order("II", o_ii)
         mixture.settle(y)
-        history = history + (int(y),)
+        history.append(int(y))
         pair = ForecastPair(f_i.announce(n + 1, history),
                             f_ii.announce(n + 1, history))
         state.settle_step(y, pair)

@@ -196,6 +196,7 @@ class IID(Measure):
             raise DomainError("weight vector length does not match alphabet")
         self._w = w
         self._logw = np.log(w)
+        self._clp: dict = {}  # m -> count_log_probs(m); the weights never change
 
     def one_step(self, history: String) -> np.ndarray:
         return self._w
@@ -218,7 +219,11 @@ class IID(Measure):
         return ChainView(0, (), lambda tail: self._w)
 
     def count_log_probs(self, m: int) -> np.ndarray:
-        return compositions(m, self.a) @ self._logw
+        out = self._clp.get(m)
+        if out is None:
+            out = self._clp[m] = compositions(m, self.a) @ self._logw
+            out.flags.writeable = False
+        return out
 
 
 def bernoulli(p_one: float) -> IID:
@@ -338,18 +343,10 @@ class BetaLearner(Measure):
         return b
 
     def count_log_probs(self, m: int) -> np.ndarray:
-        cached = getattr(self, "_clp_cache", None)
-        if cached is None:
-            cached = self._clp_cache = {}
-        out = cached.get(m)
-        if out is None:
-            c = compositions(m, self.a)
-            out = (gammaln(self._alpha + c).sum(axis=1)
-                   - gammaln(self._alpha).sum()
-                   + math.lgamma(self._alpha0) - math.lgamma(self._alpha0 + m))
-            out.flags.writeable = False
-            cached[m] = out
-        return out
+        c = compositions(m, self.a)
+        return (gammaln(self._alpha + c).sum(axis=1)
+                - gammaln(self._alpha).sum()
+                + math.lgamma(self._alpha0) - math.lgamma(self._alpha0 + m))
 
 
 class FiniteMixture(Measure):

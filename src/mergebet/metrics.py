@@ -1,34 +1,34 @@
 """Horizon-m Hellinger affinity and total variation between measures.
 
-Three computation routes:
+``HorizonProfile`` is the metrics engine of one ordered pair; it picks the
+pair's route once and memoises what it computes:
 
-  * ``dp``        -- joint-context dynamic programming, for measures with a
-                     bounded-memory (IID/Markov-like) chain view; cost grows
-                     with the paired state space, not with a**m.
-  * count-based   -- for exchangeable pairs the sum over Y^m collapses onto
-                     count vectors (used automatically; never requested by
-                     name).
-  * ``enumerate`` -- depth-first walk of the outcome tree, refused beyond a
-                     configurable term budget.
+  * chain     -- both measures have a bounded-memory chain view: H_m by
+                 joint-context dynamic programming, or rho**m in closed form
+                 when both are memoryless (TV_m takes the next route that fits).
+  * count     -- both are exchangeable: sums over Y^m collapse onto count
+                 vectors, and H_m and TV_m share the count_log_probs arrays.
+  * enumerate -- one depth-first walk of the outcome tree fills H and TV up
+                 to the deepest horizon asked for; refused beyond a budget.
 
-``method="auto"`` picks dp, then count-based, then enumeration. Affinity is
-non-increasing and total variation non-decreasing in the horizon; both are
-computed from log-domain cylinder probabilities with compensated summation.
+Measures are immutable, so ``pair_profile`` finds the engines of the last few
+pairs again by the identity of the two measures: when announcements repeat
+(``IID.condition`` returns ``self``), report rows, horizon searches and leg
+marks of a pair all read one engine. The public operations are thin wrappers
+over it; ``method="dp"`` or ``"enumerate"`` runs that route alone instead.
+Affinity is non-increasing and total variation non-decreasing in the horizon.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, MethodUnsupported
 from .measures import Measure, String, _tail, log_multinomial
-
-log = logging.getLogger(__name__)
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -58,85 +58,46 @@ class _Kahan:
 
 # -- chain (DP) route ------------------------------------------------------
 
-class _ChainAffinity:
-    """Incremental H_m over paired chain contexts; advance() yields H_{m+1}.
+class _ChainDP:
+    """Sums over Y^m of products of per-symbol factors that depend only on
+    the chain contexts of some measures; extended one horizon at a time."""
 
-    When both chains are memoryless the per-step affinity is a constant rho
-    and H_m = rho**m, so no context bookkeeping is needed.
-    """
-
-    def __init__(self, p: Measure, q: Measure):
-        vp, vq = p.chain_view(), q.chain_view()
-        if vp is None or vq is None:
+    def __init__(self, measures, factor: Callable[..., np.ndarray]):
+        self._views = [x.chain_view() for x in measures]
+        if any(v is None for v in self._views):
             raise MethodUnsupported(
-                "dp requires both measures to have a bounded-memory chain view")
-        self._a = p.a
-        self._vp, self._vq = vp, vq
-        self._rho = None
-        if vp.order == 0 and vq.order == 0:
-            self._rho = min(float(np.sqrt(vp.dist(()) * vq.dist(())).sum()), 1.0)
-        self._w = {(vp.context, vq.context): 1.0}
-        self.h: List[float] = [1.0]
-
-    def advance(self) -> float:
-        if self._rho is not None:
-            self.h.append(self._rho ** (len(self.h)))
-            return self.h[-1]
-        kp, kq = self._vp.order, self._vq.order
-        new: dict = {}
-        for (cp, cq), w in self._w.items():
-            aff = np.sqrt(self._vp.dist(cp) * self._vq.dist(cq))
-            for y in range(self._a):
-                key = (_tail(cp + (y,), kp), _tail(cq + (y,), kq))
-                new[key] = new.get(key, 0.0) + w * aff[y]
-        self._w = new
-        total = min(math.fsum(new.values()), 1.0)
-        self.h.append(total)
-        return total
+                "dp requires every measure to have a bounded-memory chain view")
+        self._factor = factor
+        self._w = {tuple(v.context for v in self._views): 1.0}
+        self.sums: List[float] = [1.0]
 
     def up_to(self, m: int) -> float:
-        while len(self.h) <= m:
-            self.advance()
-        return self.h[m]
+        views = self._views
+        while len(self.sums) <= m:
+            new: dict = {}
+            for ctx, w in self._w.items():
+                fac = self._factor(*(v.dist(c) for v, c in zip(views, ctx)))
+                for y in range(len(fac)):
+                    key = tuple(_tail(c + (y,), v.order)
+                                for v, c in zip(views, ctx))
+                    new[key] = new.get(key, 0.0) + w * fac[y]
+            self._w = new
+            self.sums.append(math.fsum(new.values()))
+        return self.sums[m]
 
 
-def _chain_esr(f: Measure, p: Measure, q: Measure, m: int) -> float:
-    """E_F[sqrt(Q/P)] over Y^m via triple-context DP."""
-    views = [x.chain_view() for x in (f, p, q)]
-    if any(v is None for v in views):
-        raise MethodUnsupported("dp expectation requires chain views")
-    vf, vp, vq = views
-    a = f.a
-    w = {(vf.context, vp.context, vq.context): 1.0}
-    for _ in range(m):
-        new: dict = {}
-        for (cf, cp, cq), wt in w.items():
-            fac = vf.dist(cf) * np.sqrt(vq.dist(cq) / vp.dist(cp))
-            for y in range(a):
-                key = (_tail(cf + (y,), vf.order), _tail(cp + (y,), vp.order),
-                       _tail(cq + (y,), vq.order))
-                new[key] = new.get(key, 0.0) + wt * fac[y]
-        w = new
-    return math.fsum(w.values())
+def _chain_affinity(p: Measure, q: Measure) -> Callable[[int], float]:
+    """m -> H_m over paired chain contexts; rho**m in closed form when both
+    chains are memoryless, so no context bookkeeping is needed."""
+    dp = _ChainDP((p, q), lambda dp, dq: np.sqrt(dp * dq))
+    vp, vq = dp._views
+    if vp.order == 0 and vq.order == 0:
+        rho = min(float(np.sqrt(vp.dist(()) * vq.dist(())).sum()), 1.0)
+        return lambda m: rho ** m
+    return lambda m: min(dp.up_to(m), 1.0)
 
 
-# -- count-based route (exchangeable pairs) ---------------------------------
-
-def _count_affinity(p: Measure, q: Measure, m: int) -> Optional[float]:
-    lp, lq = p.count_log_probs(m), q.count_log_probs(m)
-    if lp is None or lq is None:
-        return None
-    lc = log_multinomial(m, p.a)
-    return min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0)
-
-
-def _count_tv(p: Measure, q: Measure, m: int) -> Optional[float]:
-    lp, lq = p.count_log_probs(m), q.count_log_probs(m)
-    if lp is None or lq is None:
-        return None
-    lc = log_multinomial(m, p.a)
-    return float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum())
-
+# -- count-based route (exchangeable triples) -------------------------------
 
 def _count_esr(f: Measure, p: Measure, q: Measure, m: int) -> Optional[float]:
     lf, lp, lq = (x.count_log_probs(m) for x in (f, p, q))
@@ -189,6 +150,125 @@ def _enum_esr(f: Measure, p: Measure, q: Measure, m: int, budget: int) -> float:
     return acc.s
 
 
+# -- the pair engine ----------------------------------------------------------
+
+class HorizonProfile:
+    """Metrics engine of one ordered pair: memoised H_m and TV_m on the route
+    picked for the pair, with a monotone threshold search.
+
+    The chain route is taken when both measures have a chain view. Otherwise
+    the first ``count_log_probs`` call settles between the count route and
+    enumeration, so exchangeability is never probed by a call of its own.
+    H_m is non-increasing in m, so the smallest horizon with H_m below a
+    threshold is found by bisection over the memoised profile.
+    """
+
+    #: searches cut short by the enumeration budget, summed over all engines
+    capped_searches = 0
+
+    def __init__(self, p: Measure, q: Measure, budget: int = DEFAULT_BUDGET):
+        self.p, self.q = p, q
+        self.budget = budget
+        try:
+            self._chain: Optional[Callable[[int], float]] = \
+                _chain_affinity(p, q)
+        except MethodUnsupported:
+            self._chain = None
+        self._countable: Optional[bool] = None
+        self._counts: dict = {}  # m -> (count_log_probs(m) of p, of q)
+        self._h = {0: 1.0}
+        self._tv = {0: 0.0}
+
+    def _count_arrays(self, m: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """count_log_probs(m) of p and of q, or None off the count route."""
+        arrays = self._counts.get(m)
+        if arrays is None and self._countable is not False:
+            lp = self.p.count_log_probs(m)
+            lq = None if lp is None else self.q.count_log_probs(m)
+            self._countable = lq is not None
+            if self._countable:
+                arrays = self._counts[m] = (lp, lq)
+        return arrays
+
+    def _walk(self, m: int) -> Tuple[float, float]:
+        """Fill H (off the chain route) and TV up to m by one tree walk."""
+        hs, tvs = _enum_profiles(self.p, self.q, m, self.budget)
+        if self._chain is None:
+            self._h.update(enumerate(hs.tolist()))
+        self._tv.update(enumerate(tvs.tolist()))
+        return float(hs[m]), float(tvs[m])
+
+    def h(self, m: int) -> float:
+        """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
+        if self._chain is not None:
+            return self._chain(m)
+        v = self._h.get(m)
+        if v is None:
+            arrays = self._count_arrays(m)
+            if arrays is None:
+                return self._walk(m)[0]
+            lc = log_multinomial(m, self.p.a)
+            v = self._h[m] = min(
+                float(np.exp(lc + 0.5 * (arrays[0] + arrays[1])).sum()), 1.0)
+        return v
+
+    def tv(self, m: int) -> float:
+        """Total variation of the horizon-m restrictions; in [0, 2]."""
+        v = self._tv.get(m)
+        if v is None:
+            arrays = self._count_arrays(m)
+            if arrays is None:
+                return self._walk(m)[1]
+            lc = log_multinomial(m, self.p.a)
+            v = self._tv[m] = float(
+                np.abs(np.exp(lc + arrays[0]) - np.exp(lc + arrays[1])).sum())
+        return v
+
+    def find_below(self, threshold: float, m_max: int) -> Optional[int]:
+        """Smallest m <= m_max with H_m < threshold (strict), else None.
+
+        On the enumeration route the search stops at the largest horizon the
+        budget affords and counts itself in ``capped_searches``.
+        """
+        if m_max < 1:
+            return None
+        if self._chain is None and self._count_arrays(m_max) is None:
+            cap = int(math.log(self.budget) / math.log(max(self.p.a, 2)))
+            if m_max > cap:
+                HorizonProfile.capped_searches += 1
+                m_max = cap
+        if m_max < 1 or not self.h(m_max) < threshold:
+            return None
+        lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.h(mid) < threshold:
+                hi = mid
+            else:
+                lo = mid
+        return hi
+
+
+#: engines of the pairs met last, oldest first, keyed by the ids of the two
+#: measures and the budget. An entry holds its measures, so no other object
+#: can take one of the ids in its key while the entry lives.
+_ENGINES: Dict[tuple, HorizonProfile] = {}
+#: a step reads the announced pair and the pairs of the legs it marks
+ENGINE_CACHE_SIZE = 8
+
+
+def pair_profile(p: Measure, q: Measure,
+                 budget: int = DEFAULT_BUDGET) -> HorizonProfile:
+    """The engine of (p, q), reused while the pair is among the last met."""
+    key = (id(p), id(q), budget)
+    engine = _ENGINES.get(key)
+    if engine is None:
+        if len(_ENGINES) >= ENGINE_CACHE_SIZE:
+            del _ENGINES[next(iter(_ENGINES))]
+        engine = _ENGINES[key] = HorizonProfile(p, q, budget)
+    return engine
+
+
 # -- public operations --------------------------------------------------------
 
 def hellinger_restricted(p: Measure, q: Measure, m: int, method: str = "auto",
@@ -200,18 +280,13 @@ def hellinger_restricted(p: Measure, q: Measure, m: int, method: str = "auto",
         raise DomainError("measures live on different alphabets")
     if m == 0:
         return 1.0
+    if method == "auto":
+        return pair_profile(p, q, budget).h(m)
     if method == "dp":
-        return _ChainAffinity(p, q).up_to(m)
+        return _chain_affinity(p, q)(m)
     if method == "enumerate":
         return float(_enum_profiles(p, q, m, budget)[0][m])
-    if method != "auto":
-        raise DomainError(f"unknown method {method!r}")
-    if p.chain_view() is not None and q.chain_view() is not None:
-        return _ChainAffinity(p, q).up_to(m)
-    v = _count_affinity(p, q, m)
-    if v is not None:
-        return v
-    return float(_enum_profiles(p, q, m, budget)[0][m])
+    raise DomainError(f"unknown method {method!r}")
 
 
 def affinity_profile(p: Measure, q: Measure, max_m: int, method: str = "auto",
@@ -219,18 +294,11 @@ def affinity_profile(p: Measure, q: Measure, max_m: int, method: str = "auto",
     """H_0 .. H_max as an array."""
     if max_m < 0:
         raise DomainError("horizon must be >= 0")
-    if method == "auto" and p.chain_view() is not None and q.chain_view() is not None:
-        it = _ChainAffinity(p, q)
-        it.up_to(max_m)
-        return np.array(it.h)
-    if method == "dp":
-        it = _ChainAffinity(p, q)
-        it.up_to(max_m)
-        return np.array(it.h)
-    if method == "auto" and p.exchangeable and q.exchangeable:
-        return np.array([1.0] + [_count_affinity(p, q, m)
-                                 for m in range(1, max_m + 1)])
-    return _enum_profiles(p, q, max_m, budget)[0]
+    if method not in ("auto", "dp"):
+        return _enum_profiles(p, q, max_m, budget)[0]
+    h = pair_profile(p, q, budget).h if method == "auto" \
+        else _chain_affinity(p, q)
+    return np.array([h(m) for m in range(max_m + 1)])
 
 
 def tv_restricted(p: Measure, q: Measure, m: int,
@@ -240,19 +308,13 @@ def tv_restricted(p: Measure, q: Measure, m: int,
         raise DomainError("horizon must be >= 0")
     if p.a != q.a:
         raise DomainError("measures live on different alphabets")
-    if m == 0:
-        return 0.0
-    v = _count_tv(p, q, m)
-    if v is not None:
-        return v
-    return float(_enum_profiles(p, q, m, budget)[1][m])
+    return pair_profile(p, q, budget).tv(m)
 
 
 def tv_profile(p: Measure, q: Measure, max_m: int,
                budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    if p.exchangeable and q.exchangeable:
-        return np.array([0.0] + [_count_tv(p, q, m) for m in range(1, max_m + 1)])
-    return _enum_profiles(p, q, max_m, budget)[1]
+    engine = pair_profile(p, q, budget)
+    return np.array([engine.tv(m) for m in range(max_m + 1)])
 
 
 def hellinger_tv_bounds(h: float) -> Tuple[float, float]:
@@ -271,67 +333,12 @@ def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
     if m == 0:
         return 1.0
     if all(x.chain_view() is not None for x in (f, p, q)):
-        return _chain_esr(f, p, q, m)
+        return _ChainDP((f, p, q), lambda df, dp, dq: df * np.sqrt(dq / dp)
+                        ).up_to(m)
     v = _count_esr(f, p, q, m)
     if v is not None:
         return v
     return _enum_esr(f, p, q, m, budget)
-
-
-class HorizonProfile:
-    """Memoized H_m for one pair, with a monotone threshold search.
-
-    H_m is non-increasing in m, so the smallest horizon with H_m below a
-    threshold is found by bisection over the cached profile.
-    """
-
-    def __init__(self, p: Measure, q: Measure, budget: int = DEFAULT_BUDGET):
-        self.p, self.q = p, q
-        self.budget = budget
-        self._chain: Optional[_ChainAffinity] = None
-        self._cache = {0: 1.0}
-        self._countable = None
-        if p.chain_view() is not None and q.chain_view() is not None:
-            self._chain = _ChainAffinity(p, q)
-        else:
-            self._countable = p.exchangeable and q.exchangeable
-
-    def max_enumerable(self) -> int:
-        """Largest horizon the fallback enumeration route can afford."""
-        return int(math.log(self.budget) / math.log(max(self.p.a, 2)))
-
-    def h(self, m: int) -> float:
-        if self._chain is not None:
-            return self._chain.up_to(m)
-        if m not in self._cache:
-            if self._countable:
-                self._cache[m] = _count_affinity(self.p, self.q, m)
-            else:
-                prof = _enum_profiles(self.p, self.q, m, self.budget)[0]
-                for i, v in enumerate(prof):
-                    self._cache[i] = float(v)
-        return self._cache[m]
-
-    def find_below(self, threshold: float, m_max: int) -> Optional[int]:
-        """Smallest m <= m_max with H_m < threshold (strict), else None."""
-        if m_max < 1:
-            return None
-        if self._chain is None and not self._countable:
-            cap = self.max_enumerable()
-            if m_max > cap:
-                log.warning("horizon search capped at m=%d by the enumeration "
-                            "budget (requested %d)", cap, m_max)
-                m_max = cap
-        if m_max < 1 or not self.h(m_max) < threshold:
-            return None
-        lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.h(mid) < threshold:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
 
 @dataclass

@@ -57,8 +57,6 @@ class HedgeLeg:
     horizon: int
 
     def value(self, budget: int = DEFAULT_BUDGET) -> float:
-        if self.horizon == 0:
-            return self.scale
         return self.scale * hellinger_restricted(self.own, self.other,
                                                  self.horizon, budget=budget)
 
@@ -128,9 +126,7 @@ class Portfolio:
     legs: List[HedgeLeg] = field(default_factory=list)
 
     def marked_value(self, forecast: Measure, budget: int = DEFAULT_BUDGET) -> float:
-        v = math.fsum(pos * math.exp(forecast.cylinder_log_prob(x))
-                      for x, pos in self.contracts.items())
-        return v + math.fsum(l.value(budget) for l in self.legs)
+        return order_cost(BetOrder(self.contracts, self.legs), forecast, budget)
 
 
 class ProtocolState:
@@ -146,7 +142,7 @@ class ProtocolState:
                  budget: int = DEFAULT_BUDGET):
         self.alphabet = alphabet
         self.n = 1
-        self.history: String = ()
+        self._history: List[int] = []
         self.budget = budget
         self.forecasts = forecasts
         self.portfolios = {s: Portfolio() for s in SIDES}
@@ -194,13 +190,17 @@ class ProtocolState:
                 else:
                     pf.cash += payoff
             pf.legs = kept
-        self.history = self.history + (y,)
+        self._history.append(y)
         self.n += 1
         self.forecasts = next_forecasts
         self._placed = {s: False for s in SIDES}
         return self
 
     # -- observers -----------------------------------------------------------
+
+    @property
+    def history(self) -> String:
+        return tuple(self._history)
 
     def capital(self, side: str) -> float:
         if side not in SIDES:

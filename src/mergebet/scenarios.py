@@ -35,29 +35,25 @@ class CoherentForecaster:
 
     Conditioning is applied one symbol at a time when successive calls grow
     the history by one symbol, so a T-step run costs O(T) rather than
-    O(T^2). A one-longer history is trusted to extend the previous one (the
-    protocol only ever appends); any other length triggers a full
-    recondition from the base measure.
+    O(T^2); the caller may pass the same append-only list each step. A
+    one-longer history is trusted to extend the previous one (the protocol
+    only ever appends); any other length, or a same-length history that
+    differs, triggers a full recondition from the base measure.
     """
 
     def __init__(self, base: Measure):
         self.base = base
-        self._cached_history: String = ()
+        self._seen: List[int] = []
         self._cached = base
 
-    def announce(self, n: int, history: String) -> Measure:
-        if not isinstance(history, tuple):
-            history = tuple(history)
-        cached_len = len(self._cached_history)
-        if len(history) == cached_len and (
-                history is self._cached_history
-                or history == self._cached_history):
-            return self._cached
-        if len(history) == cached_len + 1:
-            self._cached = self._cached.condition(history[-1:])
-        else:
+    def announce(self, n: int, history: Sequence[int]) -> Measure:
+        if len(history) == len(self._seen) + 1:
+            y = int(history[-1])
+            self._cached = self._cached.condition((y,))
+            self._seen.append(y)
+        elif len(history) != len(self._seen) or list(history) != self._seen:
             self._cached = self.base.condition(history)
-        self._cached_history = history
+            self._seen = [int(y) for y in history]
         return self._cached
 
 

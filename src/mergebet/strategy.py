@@ -23,13 +23,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .measures import Measure
-from .metrics import (DEFAULT_BUDGET, HorizonProfile, hellinger_restricted,
+from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
                       _check_budget)
 from .protocol import BetOrder, ForecastPair, HedgeLeg
 
 
 def find_horizon(p: Measure, q: Measure, epsilon: float, m_max: int,
-                 profile: Optional[HorizonProfile] = None,
                  budget: int = DEFAULT_BUDGET) -> Optional[int]:
     """Smallest m <= m_max with H_m(p, q) < 1 - epsilon strictly, else None.
 
@@ -41,9 +40,7 @@ def find_horizon(p: Measure, q: Measure, epsilon: float, m_max: int,
         raise DomainError("epsilon must lie in (0, 1)")
     if m_max < 1:
         raise DomainError("m_max must be >= 1")
-    if profile is None:
-        profile = HorizonProfile(p, q, budget)
-    return profile.find_below(1.0 - epsilon, m_max)
+    return pair_profile(p, q, budget).find_below(1.0 - epsilon, m_max)
 
 
 def build_hedge_leg(p_own: Measure, p_other: Measure, m: int, k: float,
@@ -114,19 +111,17 @@ class EpsilonComponent:
         self.bets_placed = 0
         self.cycles: List[CycleRecord] = []
 
-    def step_orders(self, forecasts: ForecastPair, m_max: int,
-                    profile: Optional[HorizonProfile] = None
+    def step_orders(self, forecasts: ForecastPair, m_max: int
                     ) -> Optional[Tuple[BetOrder, BetOrder]]:
         """Orders for the current step; None while holding or idle."""
         self._step += 1
         if self.holding:
             return None
         m = find_horizon(forecasts.p_i, forecasts.p_ii, self.epsilon, m_max,
-                         profile=profile, budget=self.budget)
+                         self.budget)
         if m is None:
             return None
-        h = profile.h(m) if profile is not None else hellinger_restricted(
-            forecasts.p_i, forecasts.p_ii, m, budget=self.budget)
+        h = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget).h(m)
         self._leg_i = HedgeLeg(self.capital_i / h, forecasts.p_i,
                                forecasts.p_ii, m)
         self._leg_ii = HedgeLeg(self.capital_ii / h, forecasts.p_ii,
@@ -174,11 +169,10 @@ class MixtureSceptic:
         self.last_active = 0
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
-        profile = HorizonProfile(forecasts.p_i, forecasts.p_ii, self.budget)
         order_i, order_ii = BetOrder.zero(), BetOrder.zero()
         self.last_bets_placed = False
         for w, comp in zip(self.weights, self.components):
-            placed = comp.step_orders(forecasts, self.m_max, profile)
+            placed = comp.step_orders(forecasts, self.m_max)
             if placed is not None:
                 self.last_bets_placed = True
                 order_i = order_i.merged(placed[0].scaled(w))

@@ -109,6 +109,26 @@ def test_config_load_from_file(tmp_path):
 # -- run_experiment ----------------------------------------------------------
 
 
+def test_capped_horizon_search_logged_once_per_run(caplog):
+    chains = [{"family": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
+              {"family": "markov", "transition": [[0.4, 0.6], [0.6, 0.4]]}]
+
+    def mixture(w):
+        return {"kind": "coherent", "measure": {
+            "family": "mixture", "weights": w, "components": chains}}
+
+    # a mixture of chains has neither a chain view nor a count form, so its
+    # horizon search is enumerated and capped at m=8 by a 2^8 budget
+    cfg = ExperimentConfig.from_dict(tiny_config(
+        T=30, forecaster_I=mixture([0.5, 0.5]), forecaster_II=mixture([0.9, 0.1]),
+        sceptic={"J": 4, "M_max": 64}, budget=2 ** 8))
+    with caplog.at_level("WARNING"):
+        run_experiment(cfg)
+    capped = [r for r in caplog.records if "capped" in r.getMessage()]
+    assert len(capped) == 1
+    assert capped[0].getMessage().split()[0].isdigit()
+
+
 def test_zero_steps_empty_trace():
     cfg = ExperimentConfig.from_dict(tiny_config(T=0))
     trace = run_experiment(cfg)

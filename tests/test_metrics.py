@@ -5,15 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from mergebet import metrics
 from mergebet.errors import BudgetExceeded, DomainError, MethodUnsupported
 from mergebet.measures import BetaLearner, FiniteMixture, IID, Markov, bernoulli
-from mergebet.metrics import (HorizonProfile, affinity_profile,
-                              expectation_sqrt_ratio, hellinger_restricted,
-                              hellinger_tv_bounds, horizon_distribution,
-                              tv_profile, tv_restricted)
-from mergebet.harness import oracle_metrics
+from mergebet.metrics import (ENGINE_CACHE_SIZE, HorizonProfile,
+                              affinity_profile, expectation_sqrt_ratio,
+                              hellinger_restricted, hellinger_tv_bounds,
+                              horizon_distribution, pair_profile, tv_profile,
+                              tv_restricted)
+from mergebet.harness import ExperimentConfig, oracle_metrics, run_experiment
 
-from conftest import random_markov, random_measure
+from conftest import (random_beta, random_iid, random_markov, random_measure,
+                      random_mixture)
 
 RHO = 2.0 * math.sqrt(0.24)  # one-step affinity of Bernoulli(0.4) vs (0.6)
 
@@ -199,6 +202,83 @@ def test_find_below_short_circuit():
     prof = HorizonProfile(p, p)
     assert prof.find_below(0.5, 0) is None
     assert prof.find_below(0.5, 64) is None
+
+
+# -- the pair engine ------------------------------------------------------------
+
+
+def test_engine_matches_oracle_on_every_family(rng):
+    families = (random_iid, random_markov, random_beta, random_mixture)
+    for make_p in families:
+        for make_q in families:
+            p, q = make_p(rng), make_q(rng)
+            engine = HorizonProfile(p, q)
+            oracle = [oracle_metrics(p, q, m)[:2] for m in range(9)]
+            for m, (h, tv) in enumerate(oracle):
+                assert abs(engine.h(m) - h) <= 1e-12
+                assert abs(engine.tv(m) - tv) <= 1e-12
+            for threshold in rng.uniform(0.3, 1.0, size=6):
+                expect = next((m for m in range(1, 9)
+                               if oracle[m][0] < threshold), None)
+                assert engine.find_below(threshold, 8) == expect
+
+
+def test_diverge_run_reuses_two_engines(monkeypatch):
+    builds = []
+    init = HorizonProfile.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append((args[0], args[1]))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HorizonProfile, "__init__", counted)
+    cfg = ExperimentConfig.load("diverge-iid")
+    cfg.t = 300
+    trace = run_experiment(cfg)
+    assert sum(trace.component_bets) > 0  # legs were opened and marked
+    assert len(builds) <= 4
+
+
+def test_engine_cache_stays_bounded():
+    q = bernoulli(0.5)
+    for _ in range(10_000):
+        pair_profile(bernoulli(0.3), q)
+    assert len(metrics._ENGINES) <= ENGINE_CACHE_SIZE
+
+
+def test_engine_cache_gives_a_reused_id_a_fresh_engine():
+    q, weights = bernoulli(0.5), [0.9, 0.1]
+    for _ in range(100):
+        p = bernoulli(0.3)
+        pair_profile(p, q).h(1)
+        dead_id = id(p)
+        for _ in range(ENGINE_CACHE_SIZE):  # push (p, q) out of the cache
+            pair_profile(q, bernoulli(0.4))
+        del p
+        p = IID(weights)  # the allocator hands out the freed block again
+        if id(p) == dead_id:
+            break
+    assert id(p) == dead_id, "no id was reused; the check did not run"
+    engine = pair_profile(p, q)
+    assert engine.p is p
+    assert engine.h(1) == pytest.approx(
+        hellinger_restricted(p, q, 1, method="enumerate"), abs=1e-15)
+
+
+def test_engine_cache_keeps_its_measures_alive():
+    import gc
+    import weakref
+    q = bernoulli(0.5)
+    p = bernoulli(0.3)
+    ref = weakref.ref(p)
+    pair_profile(p, q)
+    del p
+    gc.collect()
+    assert ref() is not None  # so no other object can take its id
+    for _ in range(ENGINE_CACHE_SIZE):
+        pair_profile(q, bernoulli(0.4))
+    gc.collect()
+    assert ref() is None
 
 
 # -- explicit restrictions ---------------------------------------------------

@@ -55,6 +55,24 @@ def test_coherent_cache_handles_restarts():
     assert m.one_step(())[1] == pytest.approx(base.condition((0,)).one_step(())[1])
 
 
+def test_coherent_cache_extends_a_growing_list_and_rechecks_others():
+    base = BetaLearner([0.5, 0.5])
+    f = make_forecaster(ForecasterSpec("coherent", measure=base))
+    history = []
+    assert f.announce(1, history) is base
+    for n, y in enumerate((1, 1, 0), start=2):
+        history.append(y)  # the driver appends to one list in place
+        m = f.announce(n, history)
+    assert m.one_step(())[1] == pytest.approx(
+        base.condition((1, 1, 0)).one_step(())[1], abs=1e-15)
+    # a history of the same length that does not extend the cached one
+    # must recondition from the base, as must a longer jump
+    for other in ([0, 0, 1], (0, 0, 1, 1, 1)):
+        m = f.announce(len(other) + 1, other)
+        assert m.one_step(())[1] == pytest.approx(
+            base.condition(tuple(other)).one_step(())[1], abs=1e-15)
+
+
 def test_scripted_forecaster_cycles():
     p, q = bernoulli(0.7), bernoulli(0.3)
     f = make_forecaster(ForecasterSpec("scripted", measures=[p, q]))
