@@ -343,10 +343,15 @@ class BetaLearner(Measure):
         return b
 
     def count_log_probs(self, m: int) -> np.ndarray:
+        # log rising factorials: running sums of log(alpha_y + i), last row
+        # log(alpha0 + i); log-gamma differences near n lose ~eps * n log n
+        cum = getattr(self, "_rising", None)
+        if cum is None or cum.shape[1] <= m:
+            cum = self._rising = np.zeros((self.a + 1, m + 1))
+            np.cumsum(np.log(np.append(self._alpha, self._alpha0)[:, None]
+                             + np.arange(m)), axis=1, out=cum[:, 1:])
         c = compositions(m, self.a)
-        return (gammaln(self._alpha + c).sum(axis=1)
-                - gammaln(self._alpha).sum()
-                + math.lgamma(self._alpha0) - math.lgamma(self._alpha0 + m))
+        return sum(cum[y].take(c[:, y]) for y in range(self.a)) - cum[-1, m]
 
 
 class FiniteMixture(Measure):

@@ -1,6 +1,6 @@
 """Horizon-m Hellinger affinity and total variation between measures.
 
-``HorizonProfile`` is the metrics engine of one ordered pair; it picks the
+``HorizonProfile`` is the metrics engine of one ordered pair. It picks the
 pair's route once and memoises what it computes:
 
   * chain     -- both measures have a bounded-memory chain view: H_m by
@@ -13,10 +13,9 @@ pair's route once and memoises what it computes:
 
 Measures are immutable, so ``pair_profile`` finds the engines of the last few
 pairs again by the identity of the two measures: when announcements repeat
-(``IID.condition`` returns ``self``), report rows, horizon searches and leg
-marks of a pair all read one engine. The public operations are thin wrappers
-over it; ``method="dp"`` or ``"enumerate"`` runs that route alone instead.
-Affinity is non-increasing and total variation non-decreasing in the horizon.
+(``IID.condition`` returns ``self``), a pair's report rows, horizon searches
+and leg marks read one engine. The public operations wrap it; ``method="dp"``
+or ``"enumerate"`` runs that route alone. H_m falls and TV_m rises with m.
 """
 
 from __future__ import annotations
@@ -72,14 +71,13 @@ class _ChainDP:
         self.sums: List[float] = [1.0]
 
     def up_to(self, m: int) -> float:
-        views = self._views
         while len(self.sums) <= m:
             new: dict = {}
             for ctx, w in self._w.items():
-                fac = self._factor(*(v.dist(c) for v, c in zip(views, ctx)))
+                fac = self._factor(*(v.dist(c) for v, c in zip(self._views, ctx)))
                 for y in range(len(fac)):
                     key = tuple(_tail(c + (y,), v.order)
-                                for v, c in zip(views, ctx))
+                                for v, c in zip(self._views, ctx))
                     new[key] = new.get(key, 0.0) + w * fac[y]
             self._w = new
             self.sums.append(math.fsum(new.values()))
@@ -154,13 +152,12 @@ def _enum_esr(f: Measure, p: Measure, q: Measure, m: int, budget: int) -> float:
 
 class HorizonProfile:
     """Metrics engine of one ordered pair: memoised H_m and TV_m on the route
-    picked for the pair, with a monotone threshold search.
+    picked for the pair, and a bisection for the smallest horizon with H_m
+    below a threshold (H_m is non-increasing in m).
 
-    The chain route is taken when both measures have a chain view. Otherwise
-    the first ``count_log_probs`` call settles between the count route and
-    enumeration, so exchangeability is never probed by a call of its own.
-    H_m is non-increasing in m, so the smallest horizon with H_m below a
-    threshold is found by bisection over the memoised profile.
+    The chain route is taken when both measures have a chain view; otherwise
+    the first ``count_log_probs`` call settles between count and enumeration,
+    so exchangeability is never probed by a call of its own.
     """
 
     #: searches cut short by the enumeration budget, summed over all engines
@@ -170,8 +167,7 @@ class HorizonProfile:
         self.p, self.q = p, q
         self.budget = budget
         try:
-            self._chain: Optional[Callable[[int], float]] = \
-                _chain_affinity(p, q)
+            self._chain = _chain_affinity(p, q)
         except MethodUnsupported:
             self._chain = None
         self._countable: Optional[bool] = None
@@ -249,9 +245,8 @@ class HorizonProfile:
         return hi
 
 
-#: engines of the pairs met last, oldest first, keyed by the ids of the two
-#: measures and the budget. An entry holds its measures, so no other object
-#: can take one of the ids in its key while the entry lives.
+#: engines of the pairs met last, oldest first, by (id(p), id(q), budget); an
+#: entry holds its measures, so no other object can take an id in its key
 _ENGINES: Dict[tuple, HorizonProfile] = {}
 #: a step reads the announced pair and the pairs of the legs it marks
 ENGINE_CACHE_SIZE = 8

@@ -34,11 +34,10 @@ class CoherentForecaster:
     """Announces condition_on(base, history) each step.
 
     Conditioning is applied one symbol at a time when successive calls grow
-    the history by one symbol, so a T-step run costs O(T) rather than
-    O(T^2); the caller may pass the same append-only list each step. A
-    one-longer history is trusted to extend the previous one (the protocol
-    only ever appends); any other length, or a same-length history that
-    differs, triggers a full recondition from the base measure.
+    the history (for example one list appended to in place) by one symbol,
+    so a T-step run costs O(T) rather than O(T^2). A one-longer history is
+    trusted to extend the previous one (the protocol only ever appends); any
+    other history triggers a full recondition from the base measure.
     """
 
     def __init__(self, base: Measure):

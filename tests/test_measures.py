@@ -240,6 +240,52 @@ def test_count_log_probs_matches_enumeration(rng):
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_beta_count_route_exact_at_ten_thousand_counts():
+    # merge-beta's learners after 10^4 symbols: 1 - H_8 is near 1e-11 there,
+    # so the count route must be exact well below that; differences of
+    # log-gamma values near 4e4 were off by about 1e-11
+    from decimal import Decimal, localcontext
+    from fractions import Fraction
+    from mergebet.metrics import hellinger_restricted, tv_restricted
+    path = tuple(int(y) for y in
+                 np.random.default_rng(3).integers(0, 2, size=10_000))
+    n1 = sum(path)
+    m = 8
+    comps = [(int(c0), int(c1)) for c0, c1 in compositions(m, 2)]
+
+    def urn(prior):  # exact probability of one string per count vector
+        a0, a1 = Fraction(prior[0]) + len(path) - n1, Fraction(prior[1]) + n1
+        out = []
+        for c0, c1 in comps:
+            p = Fraction(1)
+            for i in range(c0):
+                p *= (a0 + i) / (a0 + a1 + i)
+            for i in range(c1):
+                p *= (a1 + i) / (a0 + a1 + c0 + i)
+            out.append(p)
+        return out
+
+    priors = ((Fraction(1, 2), Fraction(1, 2)), (Fraction(5), Fraction(5)))
+    learners = [BetaLearner([float(x) for x in pr]).condition(path)
+                for pr in priors]
+    exact = [urn(pr) for pr in priors]
+    for b, ps in zip(learners, exact):
+        for lp, p in zip(b.count_log_probs(m), ps):
+            assert abs(math.exp(lp) / float(p) - 1.0) <= 1e-13
+    with localcontext() as ctx:
+        ctx.prec = 40
+
+        def dec(f):
+            return Decimal(f.numerator) / Decimal(f.denominator)
+
+        mult = [math.comb(m, c0) for c0, _ in comps]
+        h = sum(k * (dec(p) * dec(q)).sqrt()
+                for k, p, q in zip(mult, *exact))
+        tv = sum(k * abs(dec(p) - dec(q)) for k, p, q in zip(mult, *exact))
+        assert abs(Decimal(hellinger_restricted(*learners, m)) - h) <= 1e-13
+        assert abs(Decimal(tv_restricted(*learners, m)) - tv) <= 1e-13
+
+
 def test_exchangeable_flags():
     assert bernoulli(0.4).exchangeable
     assert BetaLearner([1.0, 1.0]).exchangeable
