@@ -87,12 +87,12 @@ class _ChainDP:
 def _chain_affinity(p: Measure, q: Measure) -> Callable[[int], float]:
     """m -> H_m over paired chain contexts; rho**m in closed form when both
     chains are memoryless, so no context bookkeeping is needed."""
-    dp = _ChainDP((p, q), lambda dp, dq: np.sqrt(dp * dq))
-    vp, vq = dp._views
+    chain = _ChainDP((p, q), lambda fp, fq: np.sqrt(fp * fq))
+    vp, vq = chain._views
     if vp.order == 0 and vq.order == 0:
         rho = min(float(np.sqrt(vp.dist(()) * vq.dist(())).sum()), 1.0)
         return lambda m: rho ** m
-    return lambda m: min(dp.up_to(m), 1.0)
+    return lambda m: min(chain.up_to(m), 1.0)
 
 
 # -- count-based route (exchangeable triples) -------------------------------
@@ -328,7 +328,7 @@ def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
     if m == 0:
         return 1.0
     if all(x.chain_view() is not None for x in (f, p, q)):
-        return _ChainDP((f, p, q), lambda df, dp, dq: df * np.sqrt(dq / dp)
+        return _ChainDP((f, p, q), lambda ff, fp, fq: ff * np.sqrt(fq / fp)
                         ).up_to(m)
     v = _count_esr(f, p, q, m)
     if v is not None:

@@ -223,7 +223,7 @@ def test_engine_matches_oracle_on_every_family(rng):
                 assert engine.find_below(threshold, 8) == expect
 
 
-def test_diverge_run_reuses_two_engines(monkeypatch):
+def test_diverge_run_reuses_its_engines(monkeypatch):
     builds = []
     init = HorizonProfile.__init__
 
