@@ -61,7 +61,7 @@ def test_coherent_cache_extends_a_growing_list_and_rechecks_others():
     history = []
     assert f.announce(1, history) is base
     for n, y in enumerate((1, 1, 0), start=2):
-        history.append(y)  # the driver appends to one list in place
+        history.append(y)  # run_experiment appends to one list in place
         m = f.announce(n, history)
     assert m.one_step(())[1] == pytest.approx(
         base.condition((1, 1, 0)).one_step(())[1], abs=1e-15)
