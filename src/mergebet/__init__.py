@@ -10,15 +10,13 @@ strategy, and verifies the finite-horizon surrogates of that disjunction.
 from .errors import (BudgetExceeded, ConfigError, CromwellViolation, DomainError,
                      MergebetError, MethodUnsupported, PhaseError)
 from .measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture, IID,
-                       Markov, Measure, bernoulli, condition_on,
-                       cylinder_log_prob, one_step_dist, sample_path)
+                       Markov, Measure, bernoulli)
 from .metrics import (DEFAULT_BUDGET, HorizonProfile, affinity_profile,
                       expectation_sqrt_ratio, hellinger_restricted,
                       hellinger_tv_bounds, horizon_distribution, tv_profile,
                       tv_restricted)
 from .protocol import (BetOrder, ForecastPair, HedgeLeg, Portfolio,
-                       ProtocolState, capital, order_cost, place_order,
-                       settle_step)
+                       ProtocolState, order_cost)
 from .scenarios import (ForecasterSpec, RealitySpec, SingularPairSpec, catalog,
                         default_singular_pair, make_forecaster, make_reality,
                         singular_pair)
@@ -26,7 +24,7 @@ from .strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
                        LimWrappedSceptic, MixtureSceptic, build_hedge,
                        build_hedge_leg, find_horizon, wrap_capital_path)
 from .harness import (ExperimentConfig, Trace, incremental_capitals,
-                      oracle_expect_capital, oracle_metrics, run_experiment,
-                      run_on_path, summarize)
+                      oracle_expect_capital, oracle_metrics, play,
+                      run_experiment, run_on_path, summarize)
 
 __version__ = "0.1.0"

@@ -18,11 +18,10 @@ import numpy as np
 
 from .errors import BudgetExceeded, ConfigError, CromwellViolation, MergebetError
 from .harness import (ExperimentConfig, incremental_capitals, oracle_expect_capital,
-                      oracle_metrics, run_experiment, summarize)
-from .measures import Alphabet
+                      oracle_metrics, play, run_experiment, summarize)
 from .metrics import hellinger_restricted, tv_restricted
-from .protocol import BetOrder, ForecastPair, ProtocolState
-from .scenarios import catalog, make_forecaster
+from .protocol import BetOrder
+from .scenarios import catalog
 
 
 @click.group()
@@ -111,39 +110,50 @@ def oracle(check, config):
         sys.exit(0 if ok else 1)
     # accounting: fuzz the engine against the incremental capital lines
     rng = np.random.default_rng(cfg.seed)
-    a = cfg.alphabet_size
-    f_i = make_forecaster(cfg.forecaster_i)
-    f_ii = make_forecaster(cfg.forecaster_ii)
     t = min(cfg.t, 6)
     worst = 0.0
     for trial in range(100):
-        history = ()
-        pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
-        state = ProtocolState(Alphabet(a), pair)
-        pairs, orders, outcomes = [pair], [], []
-        for n in range(1, t + 1):
-            step_orders = []
-            for side in ("I", "II"):
-                stakes = {}
-                for _ in range(rng.integers(0, 4)):
-                    ln = int(rng.integers(1, 4))
-                    x = tuple(int(s) for s in rng.integers(0, a, size=ln))
-                    stakes[x] = stakes.get(x, 0.0) + float(rng.uniform(0, 2))
-                state.place_order(side, BetOrder(dict(stakes)))
-                step_orders.append(stakes)
-            orders.append(tuple(step_orders))
-            y = int(rng.integers(0, a))
-            outcomes.append(y)
-            history = history + (y,)
-            pair = ForecastPair(f_i.announce(n + 1, history),
-                                f_ii.announce(n + 1, history))
+        fuzz = _RandomPlay(rng, cfg.alphabet_size)
+        pairs, outcomes = [], []
+
+        def seen(n, y, pair, state):
             pairs.append(pair)
-            state.settle_step(y, pair)
-        ref = incremental_capitals(pairs, orders, outcomes)[-1]
+            outcomes.append(y)
+
+        state = play(cfg.forecasters(), fuzz, fuzz, t, on_step=seen)
+        ref = incremental_capitals(pairs + [state.forecasts], fuzz.orders,
+                                   outcomes)[-1]
         worst = max(worst, abs(state.capital("I") - ref[0]),
                     abs(state.capital("II") - ref[1]))
     click.echo(f"max |engine - incremental| over 100 fuzzed runs: {worst:.3e}")
     sys.exit(0 if worst <= 1e-9 else 1)
+
+
+class _RandomPlay:
+    """Sceptic and Reality of the accounting fuzz: random explicit stakes for
+    both sides, recorded for the incremental oracle, and random symbols."""
+
+    def __init__(self, rng, a: int):
+        self.rng, self.a = rng, a
+        self.orders = []
+
+    def step_orders(self, pair):
+        step = []
+        for _side in ("I", "II"):
+            stakes = {}
+            for _ in range(self.rng.integers(0, 4)):
+                ln = int(self.rng.integers(1, 4))
+                x = tuple(int(s) for s in self.rng.integers(0, self.a, size=ln))
+                stakes[x] = stakes.get(x, 0.0) + float(self.rng.uniform(0, 2))
+            step.append(stakes)
+        self.orders.append(tuple(step))
+        return BetOrder(dict(step[0])), BetOrder(dict(step[1]))
+
+    def settle(self, y):
+        pass
+
+    def next(self, n, history):
+        return int(self.rng.integers(0, self.a))
 
 
 @cli.command()

@@ -13,16 +13,16 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, ConfigError, DomainError
-from .measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture, IID,
-                       Markov, Measure, String)
+from .measures import (BetaLearner, Conditioned, FiniteMixture, IID, Markov,
+                       Measure, String)
 from .metrics import (DEFAULT_BUDGET, HorizonProfile, hellinger_restricted,
                       tv_restricted)
 from .protocol import ForecastPair, ProtocolState
-from .scenarios import (ForecasterSpec, RealitySpec, catalog, make_forecaster,
-                        make_reality)
+from .scenarios import (ForecasterSpec, RealitySpec, ScriptedReality, catalog,
+                        make_forecaster, make_reality)
 from .strategy import LimWrappedSceptic, MixtureSceptic
 
 TRACE_HEADER = "n,y,h_m,tv_m,log2_k1,log2_k2,log2_geomean,components_active,bet_placed"
@@ -168,6 +168,11 @@ class ExperimentConfig:
             raise ConfigError("sceptic.M_max: must be >= 1")
         return cfg
 
+    def forecasters(self) -> Tuple[object, object]:
+        """Fresh forecasters I and II for one game."""
+        return (make_forecaster(self.forecaster_i),
+                make_forecaster(self.forecaster_ii))
+
     @staticmethod
     def load(path_or_name: str) -> "ExperimentConfig":
         """Load from a JSON file path or a shipped scenario name."""
@@ -230,56 +235,65 @@ class Trace:
 
 # -- execution -------------------------------------------------------------
 
-def run_experiment(cfg: ExperimentConfig) -> Trace:
-    """Drive the protocol for T steps and record the per-step trace."""
-    alphabet = Alphabet(cfg.alphabet_size)
-    f_i = make_forecaster(cfg.forecaster_i)
-    f_ii = make_forecaster(cfg.forecaster_ii)
-    reality = make_reality(cfg.reality, default_seed=cfg.seed)
-    mixture = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
-    sceptic = LimWrappedSceptic(mixture) if cfg.lim_wrap else mixture
+def play(forecasters, sceptic, reality, t: int, budget: int = DEFAULT_BUDGET,
+         on_step: Optional[Callable[[int, int, ForecastPair, ProtocolState],
+                                    None]] = None) -> ProtocolState:
+    """Play ``t`` rounds of the protocol; returns the settled engine.
 
-    trace = Trace(component_epsilons=[c.epsilon for c in mixture.components])
-    bet_steps: List[List[int]] = [[] for _ in mixture.components]
-    if cfg.t == 0:
-        trace.component_bets = [0] * len(mixture.components)
-        trace.component_bet_steps = bet_steps
-        return trace
-
+    Every game runs through this loop. In each round the two forecasters
+    announce, the Sceptic orders, both orders are placed, Reality moves, the
+    engine settles (the one place a hedge leg advances) and then the Sceptic
+    settles. ``on_step(n, y, pair, state)`` sees the round's announced pair
+    and the settled engine. A Sceptic has ``step_orders(pair)``, returning
+    the orders of sides I and II, and ``settle(y)``; a Reality has
+    ``next(n, history)``.
+    """
+    f_i, f_ii = forecasters
     history: List[int] = []
     pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
-    state = ProtocolState(alphabet, pair, cfg.budget)
-    capped = HorizonProfile.capped_searches
-    for n in range(1, cfg.t + 1):
-        before = [c.bets_placed for c in mixture.components]
+    state = ProtocolState(pair.p_i.alphabet, pair, budget)
+    for n in range(1, t + 1):
         o_i, o_ii = sceptic.step_orders(pair)
-        for steps, b, c in zip(bet_steps, before, mixture.components):
-            if c.bets_placed > b:
-                steps.append(n)
+        state.place_order("I", o_i)
+        state.place_order("II", o_ii)
+        y = reality.next(n, history)
+        history.append(y)
+        announced, pair = pair, ForecastPair(f_i.announce(n + 1, history),
+                                             f_ii.announce(n + 1, history))
+        state.settle_step(y, pair)
+        sceptic.settle(y)
+        if on_step is not None:
+            on_step(n, y, announced, state)
+    return state
+
+
+def run_experiment(cfg: ExperimentConfig) -> Trace:
+    """Drive the protocol for T steps and record the per-step trace."""
+    mixture = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
+    sceptic = LimWrappedSceptic(mixture) if cfg.lim_wrap else mixture
+    trace = Trace(component_epsilons=[c.epsilon for c in mixture.components])
+
+    def record(n: int, y: int, pair: ForecastPair, state: ProtocolState):
         # after the horizon search, so an enumerated pair is walked once
         h_m = hellinger_restricted(pair.p_i, pair.p_ii, cfg.m_report,
                                    budget=cfg.budget)
         tv_m = tv_restricted(pair.p_i, pair.p_ii, cfg.m_report, cfg.budget)
-        state.place_order("I", o_i)
-        state.place_order("II", o_ii)
-        y = reality.next(n, history)
-        sceptic.settle(y)
-        history.append(y)
-        pair = ForecastPair(f_i.announce(n + 1, history),
-                            f_ii.announce(n + 1, history))
-        state.settle_step(y, pair)
         lk1 = state.log2_capital("I")
         lk2 = state.log2_capital("II")
         trace.rows.append(TraceRow(
             n, y, h_m, tv_m, lk1, lk2, 0.5 * (lk1 + lk2),
             mixture.last_active, int(mixture.last_bets_placed)))
+
+    capped = HorizonProfile.capped_searches
+    play(cfg.forecasters(), sceptic, make_reality(cfg.reality, cfg.seed),
+         cfg.t, cfg.budget, record)
     capped = HorizonProfile.capped_searches - capped
     if capped:
         logging.getLogger(__name__).warning(
             "%d horizon searches capped by the enumeration budget of %d "
             "terms (M_max %d)", capped, cfg.budget, cfg.m_max)
-    trace.component_bets = [c.bets_placed for c in mixture.components]
-    trace.component_bet_steps = bet_steps
+    trace.component_bet_steps = [c.bet_steps for c in mixture.components]
+    trace.component_bets = [len(s) for s in trace.component_bet_steps]
     if cfg.lim_wrap:
         trace.wrapped_log2 = (
             math.log2(max(sceptic.capital("I"), 1e-300)),
@@ -324,22 +338,9 @@ def _coherent_base(spec: ForecasterSpec) -> Measure:
 
 def run_on_path(cfg: ExperimentConfig, path: Sequence[int]) -> Tuple[float, float]:
     """Final capitals when Reality plays exactly ``path``."""
-    alphabet = Alphabet(cfg.alphabet_size)
-    f_i = make_forecaster(cfg.forecaster_i)
-    f_ii = make_forecaster(cfg.forecaster_ii)
-    mixture = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
-    history: List[int] = []
-    pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
-    state = ProtocolState(alphabet, pair, cfg.budget)
-    for n, y in enumerate(path, start=1):
-        o_i, o_ii = mixture.step_orders(pair)
-        state.place_order("I", o_i)
-        state.place_order("II", o_ii)
-        mixture.settle(y)
-        history.append(int(y))
-        pair = ForecastPair(f_i.announce(n + 1, history),
-                            f_ii.announce(n + 1, history))
-        state.settle_step(y, pair)
+    state = play(cfg.forecasters(),
+                 MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget),
+                 ScriptedReality(path), len(path), cfg.budget)
     return state.capital("I"), state.capital("II")
 
 

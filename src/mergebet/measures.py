@@ -459,20 +459,3 @@ class Conditioned(Measure):
             return None
         return ChainView(v.order, _tail(v.context + self.prefix, v.order), v.dist)
 
-
-# -- module-level operation aliases ---------------------------------------
-
-def one_step_dist(measure: Measure, history) -> np.ndarray:
-    return measure.one_step(measure.alphabet.check_string(history))
-
-
-def cylinder_log_prob(measure: Measure, x) -> float:
-    return measure.cylinder_log_prob(x)
-
-
-def condition_on(measure: Measure, prefix) -> Measure:
-    return measure.condition(prefix)
-
-
-def sample_path(measure: Measure, seed, t: int) -> String:
-    return measure.sample_path(seed, t)

@@ -17,13 +17,18 @@ cannot be enumerated for large m; it is carried symbolically and marked as
 scale * H_r(P', Q') where P', Q' are the leg's measures conditioned on the
 symbols observed so far. Under a coherent forecaster this equals the exact
 mark at the announced forecast.
+
+The engine is the only book of hedge legs. An order carries each leg next to
+a coefficient (a mixture weight, times a lim-wrap live weight), and the engine
+books that very object: ``settle_step`` is the one place a leg advances, and a
+strategy that built the leg reads its state from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, PhaseError
 from .measures import Alphabet, Measure, String
@@ -49,7 +54,10 @@ class ForecastPair:
 
 @dataclass
 class HedgeLeg:
-    """Symbolic stake of scale * sqrt(other(x)/own(x)) on every x in Y^horizon."""
+    """Symbolic stake of scale * sqrt(other(x)/own(x)) on every x in Y^horizon.
+
+    Mutable: the engine that books the leg advances it one symbol at a time.
+    """
 
     scale: float
     own: Measure
@@ -70,8 +78,9 @@ class HedgeLeg:
         self.horizon -= 1
         return self.scale if self.horizon == 0 else None
 
-    def copy(self) -> "HedgeLeg":
-        return HedgeLeg(self.scale, self.own, self.other, self.horizon)
+
+#: a hedge leg held at a coefficient: the position is coef * leg
+Position = Tuple[float, HedgeLeg]
 
 
 @dataclass
@@ -79,12 +88,13 @@ class BetOrder:
     """Sceptic's move: finitely many stakes on future strings.
 
     ``stakes`` maps nonempty future-relative strings to real stakes; ``legs``
-    are symbolic hedge components. The engine accepts signed explicit stakes;
-    the strategies in this repo only ever use nonnegative ones.
+    are symbolic hedge components as (coefficient, leg) pairs. The engine
+    accepts signed explicit stakes; the strategies in this repo only ever use
+    nonnegative ones.
     """
 
     stakes: Dict[String, float] = field(default_factory=dict)
-    legs: List[HedgeLeg] = field(default_factory=list)
+    legs: List[Position] = field(default_factory=list)
 
     def __post_init__(self):
         for x in self.stakes:
@@ -99,8 +109,8 @@ class BetOrder:
         return not self.legs and all(v == 0.0 for v in self.stakes.values())
 
     def scaled(self, c: float) -> "BetOrder":
-        legs = [HedgeLeg(l.scale * c, l.own, l.other, l.horizon) for l in self.legs]
-        return BetOrder({x: c * v for x, v in self.stakes.items()}, legs)
+        return BetOrder({x: c * v for x, v in self.stakes.items()},
+                        [(k * c, leg) for k, leg in self.legs])
 
     def merged(self, other: "BetOrder") -> "BetOrder":
         stakes = dict(self.stakes)
@@ -114,7 +124,7 @@ def order_cost(order: BetOrder, forecast: Measure,
     """Purchase cost of the order at the forecast's quoted prices."""
     cost = math.fsum(v * math.exp(forecast.cylinder_log_prob(x))
                      for x, v in order.stakes.items())
-    return cost + math.fsum(l.value(budget) for l in order.legs)
+    return cost + math.fsum(k * leg.value(budget) for k, leg in order.legs)
 
 
 @dataclass
@@ -123,7 +133,7 @@ class Portfolio:
 
     cash: float = 1.0
     contracts: Dict[String, float] = field(default_factory=dict)
-    legs: List[HedgeLeg] = field(default_factory=list)
+    legs: List[Position] = field(default_factory=list)
 
     def marked_value(self, forecast: Measure, budget: int = DEFAULT_BUDGET) -> float:
         return order_cost(BetOrder(self.contracts, self.legs), forecast, budget)
@@ -163,7 +173,7 @@ class ProtocolState:
         for x, v in order.stakes.items():
             self.alphabet.check_string(x)
             pf.contracts[x] = pf.contracts.get(x, 0.0) + v
-        pf.legs.extend(l.copy() for l in order.legs)
+        pf.legs.extend(order.legs)
         return self
 
     def settle_step(self, y: int, next_forecasts: ForecastPair) -> "ProtocolState":
@@ -183,12 +193,12 @@ class ProtocolState:
                     new[tail] = new.get(tail, 0.0) + pos
             pf.contracts = new
             kept = []
-            for leg in pf.legs:
+            for k, leg in pf.legs:
                 payoff = leg.advance(y)
                 if payoff is None:
-                    kept.append(leg)
+                    kept.append((k, leg))
                 else:
-                    pf.cash += payoff
+                    pf.cash += k * payoff
             pf.legs = kept
         self._history.append(y)
         self.n += 1
@@ -211,17 +221,3 @@ class ProtocolState:
     def log2_capital(self, side: str) -> float:
         return math.log2(max(self.capital(side), 1e-300))
 
-
-# -- module-level operation aliases ---------------------------------------
-
-def place_order(state: ProtocolState, side: str, order: BetOrder) -> ProtocolState:
-    return state.place_order(side, order)
-
-
-def settle_step(state: ProtocolState, y: int,
-                next_forecasts: ForecastPair) -> ProtocolState:
-    return state.settle_step(y, next_forecasts)
-
-
-def capital(state: ProtocolState, side: str) -> float:
-    return state.capital(side)

@@ -13,6 +13,13 @@ epsilon = 2^-j, j = 1..J, truncated at J with the residual weight held as
 cash. ``lim_wrap`` converts an unbounded capital path into a divergent one
 by splitting capital across doubling-threshold accounts that freeze once
 they hit their target.
+
+The protocol engine holds the only book of hedge legs. A component's order
+carries the legs it built, at a coefficient (its mixture weight, times the
+lim-wrap live weight) rather than as rescaled copies; the engine advances
+them, and each component derives its capital and its cycle records from
+those same legs. The Sceptic's ``settle`` runs after the engine's, and only
+closes expired cycles and updates lim-wrap.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from .errors import DomainError
 from .measures import Measure
 from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
                       _check_budget)
-from .protocol import BetOrder, ForecastPair, HedgeLeg
+from .protocol import SIDES, BetOrder, ForecastPair, HedgeLeg
 
 
 def find_horizon(p: Measure, q: Measure, epsilon: float, m_max: int,
@@ -90,7 +97,10 @@ class EpsilonComponent:
     """State machine of the fixed-epsilon gambling routine.
 
     Component-local capitals start at 1 per side; while holding, the entire
-    capital sits in the open hedge and no new bets are placed.
+    capital sits in the open pair of hedge legs and no new bets are placed.
+    The legs are the very objects the protocol engine books and advances, so
+    the component keeps no account of its own while holding: it marks its
+    capital from the legs, and when they expire their scales are its capitals.
     """
 
     def __init__(self, epsilon: float, budget: int = DEFAULT_BUDGET):
@@ -100,16 +110,16 @@ class EpsilonComponent:
         self.budget = budget
         self.capital_i = 1.0
         self.capital_ii = 1.0
-        self.holding = False
-        self._leg_i: Optional[HedgeLeg] = None
-        self._leg_ii: Optional[HedgeLeg] = None
-        self._cycle_start_capitals: Tuple[float, float] = (1.0, 1.0)
-        self._cycle_start_step = 0
-        self._cycle_h = 1.0
-        self._cycle_m = 0
+        #: the open cycle's legs against forecaster I and II, or None
+        self.legs: Optional[Tuple[HedgeLeg, HedgeLeg]] = None
+        self._cycle = (0, 1.0)  # horizon and H_m of the open cycle
         self._step = 0
-        self.bets_placed = 0
+        self.bet_steps: List[int] = []
         self.cycles: List[CycleRecord] = []
+
+    @property
+    def holding(self) -> bool:
+        return self.legs is not None
 
     def step_orders(self, forecasts: ForecastPair, m_max: int
                     ) -> Optional[Tuple[BetOrder, BetOrder]]:
@@ -122,38 +132,39 @@ class EpsilonComponent:
         if m is None:
             return None
         h = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget).h(m)
-        self._leg_i = HedgeLeg(self.capital_i / h, forecasts.p_i,
-                               forecasts.p_ii, m)
-        self._leg_ii = HedgeLeg(self.capital_ii / h, forecasts.p_ii,
-                                forecasts.p_i, m)
-        self.holding = True
-        self.bets_placed += 1
-        self._cycle_start_capitals = (self.capital_i, self.capital_ii)
-        self._cycle_start_step = self._step
-        self._cycle_h = h
-        self._cycle_m = m
-        return (BetOrder(legs=[self._leg_i.copy()]),
-                BetOrder(legs=[self._leg_ii.copy()]))
+        self.legs = (HedgeLeg(self.capital_i / h, forecasts.p_i,
+                              forecasts.p_ii, m),
+                     HedgeLeg(self.capital_ii / h, forecasts.p_ii,
+                              forecasts.p_i, m))
+        self._cycle = (m, h)
+        self.bet_steps.append(self._step)
+        return BetOrder(legs=[(1.0, self.legs[0])]), \
+            BetOrder(legs=[(1.0, self.legs[1])])
 
-    def settle(self, y: int) -> None:
-        """Observe Reality's symbol; realizes payoffs at expiry."""
-        if not self.holding:
+    def settle(self) -> None:
+        """Close the open cycle once the engine has run its legs to expiry."""
+        if self.legs is None or self.legs[0].horizon > 0:
             return
-        pay_i = self._leg_i.advance(y)
-        pay_ii = self._leg_ii.advance(y)
-        if pay_i is not None:
-            k_i0, k_ii0 = self._cycle_start_capitals
-            self.capital_i = pay_i
-            self.capital_ii = pay_ii
-            self.cycles.append(CycleRecord(
-                self._cycle_start_step, self._cycle_m, self._cycle_h,
-                pay_i / k_i0, pay_ii / k_ii0))
-            self.holding = False
-            self._leg_i = self._leg_ii = None
+        pay_i, pay_ii = self.legs[0].scale, self.legs[1].scale
+        self.cycles.append(CycleRecord(
+            self.bet_steps[-1], *self._cycle,
+            pay_i / self.capital_i, pay_ii / self.capital_ii))
+        self.capital_i, self.capital_ii = pay_i, pay_ii
+        self.legs = None
 
+    def capital(self, side: str) -> float:
+        """Component-local capital: the open leg's mark while holding."""
+        if self.legs is None:
+            return self.capital_i if side == "I" else self.capital_ii
+        return self.legs[SIDES.index(side)].value(self.budget)
 
 class MixtureSceptic:
-    """2^-j-weighted mixture of epsilon components plus a cash reserve."""
+    """2^-j-weighted mixture of epsilon components plus a cash reserve.
+
+    Its orders hold each component's legs at the component's weight; the
+    engine advances them, and ``settle`` (after the engine settles) closes the
+    cycles that expired.
+    """
 
     def __init__(self, j_max: int = 20, m_max: int = 64,
                  budget: int = DEFAULT_BUDGET):
@@ -181,15 +192,13 @@ class MixtureSceptic:
         return order_i, order_ii
 
     def settle(self, y: int) -> None:
+        """Close expired cycles; the engine has already advanced the legs."""
         for comp in self.components:
-            comp.settle(y)
+            comp.settle()
 
     def capital(self, side: str) -> float:
-        caps = [(c.capital_i if side == "I" else c.capital_ii)
-                if not c.holding else
-                ((c._leg_i if side == "I" else c._leg_ii).value(self.budget))
-                for c in self.components]
-        return math.fsum(w * k for w, k in zip(self.weights, caps)) + self.reserve
+        return math.fsum(w * c.capital(side) for w, c in
+                         zip(self.weights, self.components)) + self.reserve
 
 
 @dataclass
@@ -240,7 +249,7 @@ def wrap_capital_path(path: Sequence[float],
 
 class LimWrappedSceptic:
     """Order-level wrapper around a mixture: live accounts mirror the base
-    strategy, so orders are scaled by the per-side live weight."""
+    strategy, so each order's coefficients carry the per-side live weight."""
 
     def __init__(self, base: MixtureSceptic, cfg: LimWrapConfig = LimWrapConfig()):
         self.base = base

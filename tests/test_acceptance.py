@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from mergebet.harness import (ExperimentConfig, incremental_capitals,
-                              oracle_expect_capital, oracle_metrics,
+                              oracle_expect_capital, oracle_metrics, play,
                               run_experiment)
 from mergebet.measures import Alphabet, bernoulli
 from mergebet.metrics import (hellinger_restricted, hellinger_tv_bounds,
@@ -30,19 +30,9 @@ def report(capsys, name, ok, detail):
 
 def replay(cfg):
     """Drive the protocol keeping the mixture visible (same path as the cfg)."""
-    f_i = make_forecaster(cfg.forecaster_i)
-    f_ii = make_forecaster(cfg.forecaster_ii)
-    reality = make_reality(cfg.reality, default_seed=cfg.seed)
     mix = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
-    history = ()
-    pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
-    for n in range(1, cfg.t + 1):
-        mix.step_orders(pair)
-        y = reality.next(n, history)
-        mix.settle(y)
-        history = history + (y,)
-        pair = ForecastPair(f_i.announce(n + 1, history),
-                            f_ii.announce(n + 1, history))
+    play(cfg.forecasters(), mix, make_reality(cfg.reality, default_seed=cfg.seed),
+         cfg.t, cfg.budget)
     return mix
 
 

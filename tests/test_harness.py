@@ -12,7 +12,7 @@ from mergebet.harness import (ExperimentConfig, TRACE_HEADER,
                               oracle_expect_capital, oracle_metrics,
                               run_experiment, run_on_path, summarize)
 from mergebet.measures import bernoulli
-from mergebet.protocol import ForecastPair
+from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
 
 FAIR = {"family": "iid", "weights": [0.5, 0.5]}
 
@@ -127,6 +127,29 @@ def test_capped_horizon_search_logged_once_per_run(caplog):
     capped = [r for r in caplog.records if "capped" in r.getMessage()]
     assert len(capped) == 1
     assert capped[0].getMessage().split()[0].isdigit()
+
+
+def test_engine_is_the_only_book_of_hedge_legs(monkeypatch):
+    # every leg advance is the engine's: one per leg it holds per settlement
+    advances, held = [], []
+    advance, settle = HedgeLeg.advance, ProtocolState.settle_step
+
+    def counted_advance(self, y):
+        advances.append(y)
+        return advance(self, y)
+
+    def counted_settle(self, y, pair):
+        held.append(sum(len(pf.legs) for pf in self.portfolios.values()))
+        return settle(self, y, pair)
+
+    monkeypatch.setattr(HedgeLeg, "advance", counted_advance)
+    monkeypatch.setattr(ProtocolState, "settle_step", counted_settle)
+    cfg = ExperimentConfig.load("diverge-iid")
+    cfg.t = 300
+    trace = run_experiment(cfg)
+    assert sum(trace.component_bets) > 0
+    assert len(held) == 300
+    assert len(advances) == sum(held) > 0
 
 
 def test_zero_steps_empty_trace():

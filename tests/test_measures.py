@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from mergebet.errors import CromwellViolation, DomainError
 from mergebet.measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture,
                                IID, Markov, bernoulli, compositions,
-                               condition_on, cylinder_log_prob, log_multinomial,
-                               one_step_dist, sample_path)
+                               log_multinomial)
 
 from conftest import random_measure
 
@@ -26,9 +25,9 @@ def test_iid_one_step_any_history():
 
 def test_condition_on_empty_prefix_is_identity():
     p = bernoulli(0.4)
-    assert condition_on(p, ()) is p
-    np.testing.assert_array_equal(one_step_dist(condition_on(p, ()), ()),
-                                  one_step_dist(p, ()))
+    assert p.condition(()) is p
+    np.testing.assert_array_equal(p.condition(()).one_step(()),
+                                  p.one_step(()))
 
 
 def test_beta_learner_posterior_predictive():
@@ -57,16 +56,16 @@ def test_beta_learner_matches_grid_bayes_mixture():
 
 def test_cylinder_uniform():
     p = bernoulli(0.5)
-    assert cylinder_log_prob(p, (0, 1, 1)) == pytest.approx(math.log(1 / 8))
+    assert p.cylinder_log_prob((0, 1, 1)) == pytest.approx(math.log(1 / 8))
 
 
 def test_cylinder_product_of_one_steps():
     p = bernoulli(0.4)
-    assert cylinder_log_prob(p, (1, 1, 0)) == pytest.approx(math.log(0.096))
+    assert p.cylinder_log_prob((1, 1, 0)) == pytest.approx(math.log(0.096))
 
 
 def test_cylinder_empty_string_is_zero():
-    assert cylinder_log_prob(bernoulli(0.3), ()) == 0.0
+    assert bernoulli(0.3).cylinder_log_prob(()) == 0.0
 
 
 # -- condition ---------------------------------------------------------------
@@ -130,23 +129,23 @@ def test_cylinder_consistency_random(rng):
 
 
 def test_sample_path_empty():
-    assert sample_path(bernoulli(0.4), 0, 0) == ()
+    assert bernoulli(0.4).sample_path(0, 0) == ()
 
 
 def test_sample_path_deterministic():
     p = bernoulli(0.4)
-    assert sample_path(p, 7, 50) == sample_path(p, 7, 50)
+    assert p.sample_path(7, 50) == p.sample_path(7, 50)
 
 
 def test_sample_path_frequency():
-    path = sample_path(bernoulli(0.4), 123, 100_000)
+    path = bernoulli(0.4).sample_path(123, 100_000)
     freq = sum(path) / len(path)
     assert abs(freq - 0.4) < 0.01
 
 
 def test_sample_path_negative_length():
     with pytest.raises(DomainError):
-        sample_path(bernoulli(0.4), 0, -1)
+        bernoulli(0.4).sample_path(0, -1)
 
 
 # -- Cromwell validation -------------------------------------------------------

@@ -10,7 +10,7 @@ from mergebet.harness import incremental_capitals
 from mergebet.measures import Alphabet, bernoulli
 from mergebet.metrics import hellinger_restricted
 from mergebet.protocol import (BetOrder, ForecastPair, HedgeLeg, ProtocolState,
-                               capital, order_cost, place_order, settle_step)
+                               order_cost)
 from mergebet.strategy import build_hedge
 
 from conftest import random_measure
@@ -65,13 +65,13 @@ def test_order_merge_and_scale():
 
 def test_initial_capitals_are_one():
     state, _ = fresh_state()
-    assert capital(state, "I") == 1.0
-    assert capital(state, "II") == 1.0
+    assert state.capital("I") == 1.0
+    assert state.capital("II") == 1.0
 
 
 def test_zero_order_changes_nothing():
     state, _ = fresh_state()
-    place_order(state, "I", BetOrder.zero())
+    state.place_order("I", BetOrder.zero())
     assert state.portfolios["I"].cash == 1.0
     assert not state.portfolios["I"].contracts
 
@@ -85,40 +85,40 @@ def test_capital_invariant_at_purchase(rng):
             ln = int(rng.integers(1, 4))
             x = tuple(int(s) for s in rng.integers(0, 2, size=ln))
             stakes[x] = stakes.get(x, 0.0) + float(rng.uniform(0, 2))
-        before = capital(state, "I")
-        place_order(state, "I", BetOrder(stakes))
-        assert capital(state, "I") == pytest.approx(before, abs=1e-12)
+        before = state.capital("I")
+        state.place_order("I", BetOrder(stakes))
+        assert state.capital("I") == pytest.approx(before, abs=1e-12)
 
 
 def test_double_placement_raises():
     state, _ = fresh_state()
-    place_order(state, "I", BetOrder.zero())
+    state.place_order("I", BetOrder.zero())
     with pytest.raises(PhaseError):
-        place_order(state, "I", BetOrder({(0,): 1.0}))
+        state.place_order("I", BetOrder({(0,): 1.0}))
 
 
 def test_unknown_side_rejected():
     state, _ = fresh_state()
     with pytest.raises(DomainError):
-        place_order(state, "III", BetOrder.zero())
+        state.place_order("III", BetOrder.zero())
     with pytest.raises(DomainError):
-        capital(state, "III")
+        state.capital("III")
 
 
 # -- settlement ---------------------------------------------------------------
 
 
 def advance_step(state, y, pair):
-    place_order(state, "I", BetOrder.zero())
-    place_order(state, "II", BetOrder.zero())
-    settle_step(state, y, pair)
+    state.place_order("I", BetOrder.zero())
+    state.place_order("II", BetOrder.zero())
+    state.settle_step(y, pair)
 
 
 def test_settle_without_contracts_keeps_capitals():
     state, pair = fresh_state()
     advance_step(state, 1, pair)
-    assert capital(state, "I") == 1.0
-    assert capital(state, "II") == 1.0
+    assert state.capital("I") == 1.0
+    assert state.capital("II") == 1.0
     assert state.n == 2
     assert state.history == (1,)
 
@@ -127,35 +127,35 @@ def test_one_step_hedge_multiplies_capital():
     # stakes f(1) = 1.25, f(0) = 5/6 cost exactly 1 under Bernoulli(0.4 on 1)
     p, q = bernoulli(0.4), bernoulli(0.6)
     state, pair = fresh_state(p, q)
-    place_order(state, "I", BetOrder({(1,): 1.25, (0,): 5.0 / 6.0}))
-    place_order(state, "II", BetOrder.zero())
-    assert capital(state, "I") == pytest.approx(1.0, abs=1e-12)
-    settle_step(state, 1, pair)
-    assert capital(state, "I") == pytest.approx(1.25, abs=1e-12)
+    state.place_order("I", BetOrder({(1,): 1.25, (0,): 5.0 / 6.0}))
+    state.place_order("II", BetOrder.zero())
+    assert state.capital("I") == pytest.approx(1.0, abs=1e-12)
+    state.settle_step(1, pair)
+    assert state.capital("I") == pytest.approx(1.25, abs=1e-12)
 
 
 def test_inconsistent_prefix_dies_worthless():
     state, pair = fresh_state()
-    place_order(state, "I", BetOrder({(1, 0): 3.0}))
-    place_order(state, "II", BetOrder.zero())
-    settle_step(state, 0, pair)
+    state.place_order("I", BetOrder({(1, 0): 3.0}))
+    state.place_order("II", BetOrder.zero())
+    state.settle_step(0, pair)
     assert not state.portfolios["I"].contracts
 
 
 def test_long_contract_rebased_to_tail():
     state, pair = fresh_state()
-    place_order(state, "I", BetOrder({(1, 0): 3.0}))
-    place_order(state, "II", BetOrder.zero())
-    settle_step(state, 1, pair)
+    state.place_order("I", BetOrder({(1, 0): 3.0}))
+    state.place_order("II", BetOrder.zero())
+    state.settle_step(1, pair)
     assert state.portfolios["I"].contracts == {(0,): 3.0}
 
 
 def test_settle_rejects_bad_symbol():
     state, pair = fresh_state()
-    place_order(state, "I", BetOrder.zero())
-    place_order(state, "II", BetOrder.zero())
+    state.place_order("I", BetOrder.zero())
+    state.place_order("II", BetOrder.zero())
     with pytest.raises(DomainError):
-        settle_step(state, 5, pair)
+        state.settle_step(5, pair)
 
 
 def test_full_hedge_expiry_payoff(rng):
@@ -165,16 +165,16 @@ def test_full_hedge_expiry_payoff(rng):
     h = hellinger_restricted(p, q, m)
     for block in [(0, 0, 0), (1, 0, 1), (1, 1, 1)]:
         state, pair = fresh_state(p, q)
-        place_order(state, "I", build_hedge(p, q, m, k))
-        place_order(state, "II", BetOrder.zero())
+        state.place_order("I", build_hedge(p, q, m, k))
+        state.place_order("II", BetOrder.zero())
         for y in block:
-            settle_step(state, y, pair)
+            state.settle_step(y, pair)
             if state.n <= m:
-                place_order(state, "I", BetOrder.zero())
-                place_order(state, "II", BetOrder.zero())
+                state.place_order("I", BetOrder.zero())
+                state.place_order("II", BetOrder.zero())
         ratio = math.exp(0.5 * (q.cylinder_log_prob(block)
                                 - p.cylinder_log_prob(block)))
-        assert capital(state, "I") == pytest.approx(k * ratio / h, abs=1e-12)
+        assert state.capital("I") == pytest.approx(k * ratio / h, abs=1e-12)
 
 
 def test_symbolic_leg_equals_explicit_hedge():

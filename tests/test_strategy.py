@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mergebet.errors import BudgetExceeded, DomainError
+from mergebet.harness import play
 from mergebet.measures import bernoulli
 from mergebet.metrics import hellinger_restricted
 from mergebet.protocol import BetOrder, ForecastPair, order_cost
+from mergebet.scenarios import CoherentForecaster, ScriptedReality
 from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
                                MixtureSceptic, build_hedge, build_hedge_leg,
                                find_horizon, wrap_capital_path)
@@ -16,6 +18,34 @@ from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
 from conftest import random_measure
 
 P04, P06 = bernoulli(0.4), bernoulli(0.6)
+
+
+def forecasters(p, q):
+    return CoherentForecaster(p), CoherentForecaster(q)
+
+
+class Lone:
+    """One component as the whole Sceptic; keeps what it placed each step."""
+
+    def __init__(self, comp, m_max):
+        self.comp, self.m_max = comp, m_max
+        self.placed = []
+
+    def step_orders(self, pair):
+        placed = self.comp.step_orders(pair, self.m_max)
+        self.placed.append(placed)
+        return placed or (BetOrder.zero(), BetOrder.zero())
+
+    def settle(self, y):
+        self.comp.settle()
+
+
+class CoinReality:
+    def __init__(self, rng):
+        self.rng = rng
+
+    def next(self, n, history):
+        return int(self.rng.integers(0, 2))
 
 
 # -- find_horizon ------------------------------------------------------------
@@ -127,17 +157,18 @@ def test_component_places_paired_hedges():
     assert placed is not None
     o_i, o_ii = placed
     assert len(o_i.legs) == 1 and len(o_ii.legs) == 1
-    assert o_i.legs[0].horizon == 34
+    assert o_i.legs[0][1].horizon == 34
     assert comp.holding
 
 
 def test_component_quiet_while_holding():
     comp = EpsilonComponent(0.5)
-    comp.step_orders(ForecastPair(P04, P06), 100)
-    for y in (0, 1, 1, 0):
-        assert comp.step_orders(ForecastPair(P04, P06), 100) is None
-        comp.settle(y)
-    assert comp.holding  # 34-step hedge still open after 4 observations
+    lone = Lone(comp, 100)
+    play(forecasters(P04, P06), lone, ScriptedReality((0, 1, 1, 0, 1)), 5)
+    assert lone.placed[0] is not None
+    for placed in lone.placed[1:]:
+        assert placed is None
+    assert comp.holding  # 34-step hedge still open after 5 observations
 
 
 def test_component_cycle_geometric_mean(rng):
@@ -146,18 +177,15 @@ def test_component_cycle_geometric_mean(rng):
         p, q = random_measure(rng), random_measure(rng)
         eps = float(rng.uniform(0.005, 0.5))
         comp = EpsilonComponent(eps)
-        pair = ForecastPair(p, q)
-        if comp.step_orders(pair, 8) is None:
+        m = find_horizon(p, q, eps, 8)
+        if m is None:
             continue
-        m = comp._leg_i.horizon
         h = hellinger_restricted(p, q, m)
-        for _ in range(m):
-            y = int(rng.integers(0, 2))
-            comp.settle(y)
-            pair = ForecastPair(pair.p_i.condition((y,)),
-                                pair.p_ii.condition((y,)))
+        play(forecasters(p, q), Lone(comp, 8), CoinReality(rng), m)
+        assert comp.bet_steps == [1]
         assert not comp.holding
         cycle = comp.cycles[-1]
+        assert cycle.horizon == m
         geo = math.sqrt(cycle.mult_i * cycle.mult_ii)
         assert geo == pytest.approx(1.0 / h, abs=1e-9)
         assert geo >= 1.0 / (1.0 - eps) - 1e-9
@@ -190,23 +218,26 @@ def test_mixture_weights_and_reserve():
 
 def test_mixture_linearity_along_run(rng):
     mix = MixtureSceptic(j_max=6, m_max=8)
-    p, q = bernoulli(0.2), bernoulli(0.8)
-    pair = ForecastPair(p, q)
-    for _ in range(20):
-        mix.step_orders(pair)
-        y = int(rng.integers(0, 2))
-        mix.settle(y)
+
+    def check(n, y, pair, state):
         for side in ("I", "II"):
             total = mix.capital(side)
             parts = []
             for w, c in zip(mix.weights, mix.components):
                 if c.holding:
-                    leg = c._leg_i if side == "I" else c._leg_ii
+                    leg = c.legs[0] if side == "I" else c.legs[1]
                     parts.append(w * leg.value())
                 else:
                     parts.append(w * (c.capital_i if side == "I"
                                       else c.capital_ii))
             assert total == pytest.approx(sum(parts) + mix.reserve, abs=1e-9)
+            # cash accounting and component accounting of the same legs
+            assert state.capital(side) == pytest.approx(total, abs=1e-9)
+
+    state = play(forecasters(bernoulli(0.2), bernoulli(0.8)), mix,
+                 CoinReality(rng), 20, on_step=check)
+    assert state.n == 21
+    assert sum(len(c.bet_steps) for c in mix.components) > 0
 
 
 def test_mixture_requires_component():
