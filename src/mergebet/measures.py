@@ -61,10 +61,11 @@ class Alphabet:
             raise DomainError(f"alphabet size must be >= 1, got {self.size}")
 
     def check_string(self, x: Sequence[Symbol]) -> String:
-        x = tuple(int(s) for s in x)
+        x = tuple(map(int, x))
+        size = self.size
         for s in x:
-            if not 0 <= s < self.size:
-                raise DomainError(f"symbol {s} outside alphabet of size {self.size}")
+            if not 0 <= s < size:
+                raise DomainError(f"symbol {s} outside alphabet of size {size}")
         return x
 
 

@@ -188,6 +188,18 @@ def test_alphabet_rejects_bad_symbols():
         Alphabet(0)
 
 
+def test_alphabet_check_string_converts_and_names_the_first_bad_symbol():
+    a = Alphabet(3)
+    assert a.check_string([np.int64(2), 0, 1]) == (2, 0, 1)
+    assert type(a.check_string([np.int64(2)])[0]) is int
+    assert a.check_string(()) == ()
+    with pytest.raises(DomainError,
+                       match=r"^symbol 5 outside alphabet of size 3$"):
+        a.check_string((1, 5, -1))
+    with pytest.raises(DomainError, match=r"^symbol -1 outside"):
+        a.check_string([-1, 7])
+
+
 # -- mixtures ---------------------------------------------------------------
 
 
