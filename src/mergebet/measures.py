@@ -26,14 +26,13 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CromwellViolation, DomainError
 
 
 def logsumexp(a, axis=None):
-    # lean replacement for scipy.special.logsumexp; the scipy version
-    # carries array-api dispatch overhead that dominates tight loops here
+    # log(sum(exp(a))) along an axis, shifted by the maximum so that it
+    # neither overflows nor loses a row whose entries are all -inf
     a = np.asarray(a, dtype=float)
     hi = np.max(a, axis=axis, keepdims=True)
     hi = np.where(np.isfinite(hi), hi, 0.0)
@@ -107,8 +106,11 @@ def compositions(m: int, a: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def log_multinomial(m: int, a: int) -> np.ndarray:
     """log of the number of strings realizing each composition of m over a symbols."""
-    c = compositions(m, a)
-    return gammaln(m + 1) - gammaln(c + 1).sum(axis=1)
+    # log of the exact k! is within an ulp of ln k!; math.lgamma(k + 1) is off
+    # by up to 3 ulps, which can round the count-route mass of two equal
+    # measures, and so their H_m, below 1
+    log_fact = np.array([math.log(math.factorial(k)) for k in range(m + 1)])
+    return log_fact[m] - log_fact[compositions(m, a)].sum(axis=1)
 
 
 def _validated_weights(w, floor: Optional[float]) -> np.ndarray:
@@ -459,4 +461,3 @@ class Conditioned(Measure):
         if v is None:
             return None
         return ChainView(v.order, _tail(v.context + self.prefix, v.order), v.dist)
-

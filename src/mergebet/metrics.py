@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, MethodUnsupported
-from .measures import Measure, String, _tail, log_multinomial
+from .measures import Measure, String, _tail, log_multinomial, logsumexp
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -347,7 +347,6 @@ class HorizonDistribution:
 def horizon_distribution(measure: Measure, m: int,
                          budget: int = DEFAULT_BUDGET) -> HorizonDistribution:
     """Enumerate the horizon-m restriction; validates normalization."""
-    from scipy.special import logsumexp
     a = measure.a
     _check_budget(a, m, budget)
     items: List[Tuple[String, float]] = []
@@ -361,7 +360,7 @@ def horizon_distribution(measure: Measure, m: int,
             walk(x + (y,), lp + math.log(d[y]))
 
     walk((), 0.0)
-    total = float(logsumexp([lp for _, lp in items]))
+    total = logsumexp([lp for _, lp in items])
     if abs(math.exp(total) - 1.0) > 1e-9:
         raise DomainError(f"restriction mass {math.exp(total)} not 1 within 1e-9")
     return HorizonDistribution(m, items)

@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import mergebet
 from mergebet.cli import cli, main
 from mergebet.harness import TRACE_HEADER
 
@@ -141,3 +146,17 @@ def test_exit_code_budget_exceeded(tmp_path):
 
 def test_exit_code_missing_option():
     assert exit_code(["run"]) == 2
+
+
+# -- start-up ------------------------------------------------------------------
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is no runtime dependency: a fresh interpreter must not load it
+    src = str(Path(mergebet.__file__).resolve().parents[1])
+    code = ("import sys, mergebet.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "[]"
