@@ -220,4 +220,3 @@ class ProtocolState:
 
     def log2_capital(self, side: str) -> float:
         return math.log2(max(self.capital(side), 1e-300))
-

@@ -32,7 +32,7 @@ from .errors import DomainError
 from .measures import Measure
 from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
                       _check_budget)
-from .protocol import SIDES, BetOrder, ForecastPair, HedgeLeg
+from .protocol import BetOrder, ForecastPair, HedgeLeg
 
 
 def find_horizon(p: Measure, q: Measure, epsilon: float, m_max: int,
@@ -156,15 +156,11 @@ class EpsilonComponent:
         """Component-local capital: the open leg's mark while holding."""
         if self.legs is None:
             return self.capital_i if side == "I" else self.capital_ii
-        return self.legs[SIDES.index(side)].value(self.budget)
+        return self.legs[0 if side == "I" else 1].value(self.budget)
+
 
 class MixtureSceptic:
-    """2^-j-weighted mixture of epsilon components plus a cash reserve.
-
-    Its orders hold each component's legs at the component's weight; the
-    engine advances them, and ``settle`` (after the engine settles) closes the
-    cycles that expired.
-    """
+    """2^-j-weighted mixture of epsilon components plus a cash reserve."""
 
     def __init__(self, j_max: int = 20, m_max: int = 64,
                  budget: int = DEFAULT_BUDGET):

@@ -31,8 +31,8 @@ def report(capsys, name, ok, detail):
 def replay(cfg):
     """Drive the protocol keeping the mixture visible (same path as the cfg)."""
     mix = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
-    play(cfg.forecasters(), mix, make_reality(cfg.reality, default_seed=cfg.seed),
-         cfg.t, cfg.budget)
+    reality = make_reality(cfg.reality, default_seed=cfg.seed)
+    play(cfg.forecasters(), mix, reality, cfg.t, cfg.budget)
     return mix
 
 
