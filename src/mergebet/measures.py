@@ -21,8 +21,10 @@ probability (Cromwell's rule), optionally smoothing user tables with a floor.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -109,7 +111,8 @@ def log_multinomial(m: int, a: int) -> np.ndarray:
     # log of the exact k! is within an ulp of ln k!; math.lgamma(k + 1) is off
     # by up to 3 ulps, which can round the count-route mass of two equal
     # measures, and so their H_m, below 1
-    log_fact = np.array([math.log(math.factorial(k)) for k in range(m + 1)])
+    log_fact = np.array([math.log(f) for f in  # log 0!, log 1!, .., log m!
+                         accumulate(range(1, m + 1), operator.mul, initial=1)])
     return log_fact[m] - log_fact[compositions(m, a)].sum(axis=1)
 
 

@@ -251,6 +251,17 @@ def test_count_log_probs_matches_enumeration(rng):
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_log_multinomial_is_the_log_of_the_exact_count():
+    for m, a in ((40, 2), (12, 3), (300, 2)):
+        # log m! minus the log factorials of the counts: a few ulps of log m!
+        tol = 4 * math.ulp(math.log(math.factorial(m)))
+        for row, v in zip(compositions(m, a), log_multinomial(m, a)):
+            count = math.factorial(m)
+            for c in row:
+                count //= math.factorial(int(c))
+            assert abs(v - math.log(count)) <= tol
+
+
 def test_beta_count_route_exact_at_ten_thousand_counts():
     # merge-beta's learners after 10^4 symbols: 1 - H_8 is near 1e-11 there,
     # so the count route must be exact well below that; differences of
