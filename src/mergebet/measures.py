@@ -174,6 +174,10 @@ class Measure:
             path.append(int(rng.choice(self.a, p=p / p.sum())))
         return tuple(path)
 
+    def tree_node(self) -> "TreeNode":
+        """Root of the outcome tree, for walks that carry state downwards."""
+        return TreeNode(self, ())
+
     # -- capability hooks (used by the metric fast paths) -----------------
 
     def chain_view(self) -> Optional[ChainView]:
@@ -189,6 +193,41 @@ class Measure:
     @property
     def exchangeable(self) -> bool:
         return self.count_log_probs(0) is not None
+
+
+class TreeNode:
+    """Node x of a measure's outcome tree: ``dist`` is the law of the next
+    symbol, ``child(y)`` the node xy. It keeps x and asks ``one_step``."""
+
+    __slots__ = ("measure", "path", "dist")
+
+    def __init__(self, measure: Measure, path: String):
+        self.measure, self.path = measure, path
+        self.dist = measure.one_step(path)
+
+    def child(self, y: Symbol) -> "TreeNode":
+        return TreeNode(self.measure, self.path + (y,))
+
+
+class _MixtureNode:
+    """Tree node of a mixture: a node per component and the posterior log
+    weights at x as floats; a child reweights by the components' laws of y."""
+
+    __slots__ = ("nodes", "logw", "dist")
+
+    def __init__(self, nodes: list, logw: list):
+        self.nodes, self.logw = nodes, logw
+        w = [math.exp(v) for v in logw]
+        dists = [n.dist for n in nodes]
+        self.dist = [math.fsum(wk * d[y] for wk, d in zip(w, dists))
+                     for y in range(len(dists[0]))]
+
+    def child(self, y: Symbol) -> "_MixtureNode":
+        lw = [v + math.log(n.dist[y]) for v, n in zip(self.logw, self.nodes)]
+        hi = max(lw)
+        z = hi + math.log(math.fsum(math.exp(v - hi) for v in lw))
+        return _MixtureNode([n.child(y) for n in self.nodes],
+                            [v - z for v in lw])
 
 
 class IID(Measure):
@@ -416,6 +455,10 @@ class FiniteMixture(Measure):
         x = self.alphabet.check_string(x)
         return float(logsumexp(self._logw + np.array(
             [c.cylinder_log_prob(x) for c in self.components])))
+
+    def tree_node(self) -> _MixtureNode:
+        return _MixtureNode([c.tree_node() for c in self.components],
+                            self._logw.tolist())
 
     def condition(self, prefix):
         prefix = self.alphabet.check_string(prefix)

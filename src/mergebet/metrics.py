@@ -10,19 +10,23 @@ pair's route once and memoises what it computes:
                  vectors, and H_m and TV_m share the count_log_probs arrays.
   * enumerate -- one depth-first walk of the outcome tree fills H and TV up
                  to the deepest horizon asked for; refused beyond a budget.
+                 ``tree_walk`` carries each measure's tree node from parent
+                 to child (a mixture's holds its posterior weights); the
+                 brute-force oracles in ``harness`` do not use it.
 
 Measures are immutable, so ``pair_profile`` finds the engines of the last few
-pairs again by the identity of the two measures: when announcements repeat
-(``IID.condition`` returns ``self``), a pair's report rows, horizon searches
-and leg marks read one engine. The public operations wrap it; ``method="dp"``
-or ``"enumerate"`` runs that route alone. H_m falls and TV_m rises with m.
+pairs again by the identity of the two measures, in either order: when
+announcements repeat (``IID.condition`` returns ``self``), a pair's report
+rows, horizon searches and both legs' marks read one engine. The public
+operations wrap it; ``method="dp"`` or ``"enumerate"`` runs that route alone.
+H_m falls and TV_m rises with m.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,45 +111,35 @@ def _count_esr(f: Measure, p: Measure, q: Measure, m: int) -> Optional[float]:
 
 # -- enumeration route -------------------------------------------------------
 
+def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
+              ) -> Iterator[Tuple[String, List[float]]]:
+    """(x, [log P(x) under each measure]) for each x in Y^<=m, depth first,
+    parents first, symbols in order, carrying tree nodes from parent to child."""
+    a = measures[0].a
+    _check_budget(a, m, budget)
+    stack = [((), [p.tree_node() for p in measures], [0.0] * len(measures))]
+    while stack:
+        x, nodes, lps = stack.pop()
+        yield x, lps
+        if len(x) < m:
+            dists = [node.dist for node in nodes]
+            inner = len(x) + 1 < m  # a leaf needs no node
+            for y in reversed(range(a)):
+                stack.append((x + (y,),
+                              [n.child(y) for n in nodes] if inner else None,
+                              [lp + math.log(d[y]) for lp, d in zip(lps, dists)]))
+
+
 def _enum_profiles(p: Measure, q: Measure, max_m: int,
                    budget: int) -> Tuple[np.ndarray, np.ndarray]:
     """(H_0..H_max, TV_0..TV_max) by one depth-first walk of the tree."""
-    a = p.a
-    _check_budget(a, max_m, budget)
     hell = [_Kahan() for _ in range(max_m + 1)]
     tv = [_Kahan() for _ in range(max_m + 1)]
-
-    def walk(x: String, lp: float, lq: float) -> None:
-        d = len(x)
-        hell[d].add(math.exp(0.5 * (lp + lq)))
-        tv[d].add(abs(math.exp(lp) - math.exp(lq)))
-        if d == max_m:
-            return
-        dp, dq = p.one_step(x), q.one_step(x)
-        for y in range(a):
-            walk(x + (y,), lp + math.log(dp[y]), lq + math.log(dq[y]))
-
-    walk((), 0.0, 0.0)
+    for x, (lp, lq) in tree_walk((p, q), max_m, budget):
+        hell[len(x)].add(math.exp(0.5 * (lp + lq)))
+        tv[len(x)].add(abs(math.exp(lp) - math.exp(lq)))
     return (np.minimum(np.array([k.s for k in hell]), 1.0),
             np.array([k.s for k in tv]))
-
-
-def _enum_esr(f: Measure, p: Measure, q: Measure, m: int, budget: int) -> float:
-    a = f.a
-    _check_budget(a, m, budget)
-    acc = _Kahan()
-
-    def walk(x: String, lf: float, lp: float, lq: float) -> None:
-        if len(x) == m:
-            acc.add(math.exp(lf + 0.5 * (lq - lp)))
-            return
-        df, dpp, dq = f.one_step(x), p.one_step(x), q.one_step(x)
-        for y in range(a):
-            walk(x + (y,), lf + math.log(df[y]), lp + math.log(dpp[y]),
-                 lq + math.log(dq[y]))
-
-    walk((), 0.0, 0.0, 0.0)
-    return acc.s
 
 
 # -- the pair engine ----------------------------------------------------------
@@ -254,9 +248,10 @@ ENGINE_CACHE_SIZE = 8
 
 def pair_profile(p: Measure, q: Measure,
                  budget: int = DEFAULT_BUDGET) -> HorizonProfile:
-    """The engine of (p, q), reused while the pair is among the last met."""
+    """The engine of (p, q), reused while the pair is among the last met.
+    (q, p) reads the same engine: H_m and TV_m are symmetric term by term."""
     key = (id(p), id(q), budget)
-    engine = _ENGINES.get(key)
+    engine = _ENGINES.get(key) or _ENGINES.get((id(q), id(p), budget))
     if engine is None:
         if len(_ENGINES) >= ENGINE_CACHE_SIZE:
             del _ENGINES[next(iter(_ENGINES))]
@@ -333,7 +328,11 @@ def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
     v = _count_esr(f, p, q, m)
     if v is not None:
         return v
-    return _enum_esr(f, p, q, m, budget)
+    acc = _Kahan()
+    for x, (lf, lp, lq) in tree_walk((f, p, q), m, budget):
+        if len(x) == m:
+            acc.add(math.exp(lf + 0.5 * (lq - lp)))
+    return acc.s
 
 
 @dataclass
@@ -347,19 +346,8 @@ class HorizonDistribution:
 def horizon_distribution(measure: Measure, m: int,
                          budget: int = DEFAULT_BUDGET) -> HorizonDistribution:
     """Enumerate the horizon-m restriction; validates normalization."""
-    a = measure.a
-    _check_budget(a, m, budget)
-    items: List[Tuple[String, float]] = []
-
-    def walk(x: String, lp: float) -> None:
-        if len(x) == m:
-            items.append((x, lp))
-            return
-        d = measure.one_step(x)
-        for y in range(a):
-            walk(x + (y,), lp + math.log(d[y]))
-
-    walk((), 0.0)
+    items = [(x, lps[0]) for x, lps in tree_walk((measure,), m, budget)
+             if len(x) == m]
     total = logsumexp([lp for _, lp in items])
     if abs(math.exp(total) - 1.0) > 1e-9:
         raise DomainError(f"restriction mass {math.exp(total)} not 1 within 1e-9")

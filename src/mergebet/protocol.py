@@ -112,12 +112,6 @@ class BetOrder:
         return BetOrder({x: c * v for x, v in self.stakes.items()},
                         [(k * c, leg) for k, leg in self.legs])
 
-    def merged(self, other: "BetOrder") -> "BetOrder":
-        stakes = dict(self.stakes)
-        for x, v in other.stakes.items():
-            stakes[x] = stakes.get(x, 0.0) + v
-        return BetOrder(stakes, self.legs + other.legs)
-
 
 def order_cost(order: BetOrder, forecast: Measure,
                budget: int = DEFAULT_BUDGET) -> float:

@@ -37,15 +37,23 @@ class CoherentForecaster:
     the history (for example one list appended to in place) by one symbol,
     so a T-step run costs O(T) rather than O(T^2). A one-longer history is
     trusted to extend the previous one (the protocol only ever appends); any
-    other history triggers a full recondition from the base measure.
+    other history triggers a full recondition from the base measure. A
+    memoryless base (a chain view of order 0) is its own conditional.
     """
 
     def __init__(self, base: Measure):
         self.base = base
+        view = base.chain_view()
+        self._memoryless = view is not None and view.order == 0
         self._seen: List[int] = []
         self._cached = base
 
     def announce(self, n: int, history: Sequence[int]) -> Measure:
+        return self.conditional(history)
+
+    def conditional(self, history: Sequence[int]) -> Measure:
+        if self._memoryless:
+            return self.base
         if len(history) == len(self._seen) + 1:
             y = int(history[-1])
             self._cached = self._cached.condition((y,))
@@ -106,11 +114,11 @@ def _draw(rng, p: np.ndarray) -> int:
 
 class SampledReality:
     def __init__(self, measure: Measure, seed):
-        self.measure = measure
+        self._law = CoherentForecaster(measure)
         self.rng = np.random.default_rng(seed)
 
     def next(self, n: int, history: String) -> int:
-        return _draw(self.rng, self.measure.one_step(history))
+        return _draw(self.rng, self._law.conditional(history).one_step(()))
 
 
 class ScriptedReality:
@@ -128,13 +136,12 @@ class SwitchingReality:
 
     def __init__(self, step: int, before: Measure, after: Measure, seed):
         self.step = step
-        self.before = before
-        self.after = after
+        self._laws = CoherentForecaster(before), CoherentForecaster(after)
         self.rng = np.random.default_rng(seed)
 
     def next(self, n: int, history: String) -> int:
-        m = self.before if n <= self.step else self.after
-        return _draw(self.rng, m.one_step(history))
+        law = self._laws[n > self.step].conditional(history)
+        return _draw(self.rng, law.one_step(()))
 
 
 def make_reality(spec: RealitySpec, default_seed=None):

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DomainError
 from .measures import Measure
 from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
-                      _check_budget)
+                      tree_walk)
 from .protocol import BetOrder, ForecastPair, HedgeLeg
 
 
@@ -66,20 +66,9 @@ def build_hedge(p_own: Measure, p_other: Measure, m: int, k: float,
     Costs exactly k at the own forecast's prices and pays
     k * sqrt(other(x*)/own(x*))/H_m on the realized block x*.
     """
-    _check_budget(p_own.a, m, budget)
     h = hellinger_restricted(p_own, p_other, m, budget=budget)
-    stakes = {}
-
-    def walk(x, lp, lq):
-        if len(x) == m:
-            stakes[x] = k * math.exp(0.5 * (lq - lp)) / h
-            return
-        dp, dq = p_own.one_step(x), p_other.one_step(x)
-        for y in range(p_own.a):
-            walk(x + (y,), lp + math.log(dp[y]), lq + math.log(dq[y]))
-
-    walk((), 0.0, 0.0)
-    return BetOrder(stakes)
+    return BetOrder({x: k * math.exp(0.5 * (lq - lp)) / h for x, (lp, lq)
+                     in tree_walk((p_own, p_other), m, budget) if len(x) == m})
 
 
 @dataclass
@@ -176,16 +165,14 @@ class MixtureSceptic:
         self.last_active = 0
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
-        order_i, order_ii = BetOrder.zero(), BetOrder.zero()
-        self.last_bets_placed = False
+        legs_i, legs_ii = [], []
         for w, comp in zip(self.weights, self.components):
-            placed = comp.step_orders(forecasts, self.m_max)
-            if placed is not None:
-                self.last_bets_placed = True
-                order_i = order_i.merged(placed[0].scaled(w))
-                order_ii = order_ii.merged(placed[1].scaled(w))
+            if comp.step_orders(forecasts, self.m_max) is not None:
+                legs_i.append((w, comp.legs[0]))
+                legs_ii.append((w, comp.legs[1]))
+        self.last_bets_placed = bool(legs_i)
         self.last_active = sum(1 for c in self.components if c.holding)
-        return order_i, order_ii
+        return BetOrder(legs=legs_i), BetOrder(legs=legs_ii)
 
     def settle(self, y: int) -> None:
         """Close expired cycles; the engine has already advanced the legs."""

@@ -7,16 +7,18 @@ import pytest
 
 from mergebet import metrics
 from mergebet.errors import BudgetExceeded, DomainError, MethodUnsupported
-from mergebet.measures import BetaLearner, FiniteMixture, IID, Markov, bernoulli
-from mergebet.metrics import (ENGINE_CACHE_SIZE, HorizonProfile,
-                              affinity_profile, expectation_sqrt_ratio,
-                              hellinger_restricted, hellinger_tv_bounds,
-                              horizon_distribution, pair_profile, tv_profile,
+from mergebet.measures import (BetaLearner, Conditioned, FiniteMixture, IID,
+                               Markov, bernoulli)
+from mergebet.metrics import (DEFAULT_BUDGET, ENGINE_CACHE_SIZE,
+                              HorizonProfile, _enum_profiles, affinity_profile,
+                              expectation_sqrt_ratio, hellinger_restricted,
+                              hellinger_tv_bounds, horizon_distribution,
+                              pair_profile, tree_walk, tv_profile,
                               tv_restricted)
 from mergebet.harness import ExperimentConfig, oracle_metrics, run_experiment
 
 from conftest import (random_beta, random_iid, random_markov, random_measure,
-                      random_mixture)
+                      random_mixture, random_simplex)
 
 RHO = 2.0 * math.sqrt(0.24)  # one-step affinity of Bernoulli(0.4) vs (0.6)
 
@@ -255,7 +257,9 @@ def test_engine_cache_gives_a_reused_id_a_fresh_engine():
         for _ in range(ENGINE_CACHE_SIZE):  # push (p, q) out of the cache
             pair_profile(q, bernoulli(0.4))
         del p
-        p = IID(weights)  # the allocator hands out the freed block again
+        # the allocator hands out the freed block again; sharing q's
+        # alphabet keeps a new Alphabet object from taking it first
+        p = IID(weights, q.alphabet)
         if id(p) == dead_id:
             break
     assert id(p) == dead_id, "no id was reused; the check did not run"
@@ -279,6 +283,90 @@ def test_engine_cache_keeps_its_measures_alive():
         pair_profile(q, bernoulli(0.4))
     gc.collect()
     assert ref() is None
+
+
+def test_reversed_pair_reads_the_same_engine(rng):
+    pairs = {"chain": (random_markov(rng), random_markov(rng, order=2)),
+             "count": (random_beta(rng), random_mixture(rng)),
+             "enumerate": (mixture_of_chains(rng, 2, 1, 2),
+                           mixture_of_chains(rng, 2, 2, 3))}
+    for route, (p, q) in pairs.items():
+        assert pair_profile(q, p) is pair_profile(p, q), route
+        forward, backward = HorizonProfile(p, q), HorizonProfile(q, p)
+        for m in range(9):
+            assert forward.h(m) == backward.h(m), (route, m)
+            assert forward.tv(m) == backward.tv(m), (route, m)
+
+
+# -- the tree walk --------------------------------------------------------------
+
+
+def mixture_of_chains(rng, a, order, k):
+    w = random_simplex(rng, k, lo=0.05)
+    return FiniteMixture(w, [random_markov(rng, a, order) for _ in range(k)])
+
+
+def walk_mixtures(rng):
+    """Mixtures that no fast route serves, so the engine walks their tree."""
+    out = [mixture_of_chains(rng, a, int(rng.integers(1, 3)),
+                             int(rng.integers(2, 4)))
+           for a in (2, 2, 2, 3) for _ in range(2)]
+    out.append(FiniteMixture([0.3, 0.7], [out[0], out[1]]))  # nested
+    chain = random_markov(rng, 2, 2)
+    out.append(FiniteMixture([0.2, 0.5, 0.3], [
+        Conditioned(chain, (1, 0, 1)), random_beta(rng), out[2]]))
+    return out
+
+
+def test_enumeration_walk_matches_oracle_on_mixtures(rng):
+    mixes = walk_mixtures(rng)
+    pairs = list(zip(mixes[0::2], mixes[1::2])) + [(mixes[-1], mixes[0])]
+    for p, q in pairs:
+        assert p.a == q.a
+        hs, tvs = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+        for m in range(9):
+            h, tv, _ = oracle_metrics(p, q, m)
+            assert abs(hs[m] - h) <= 1e-12
+            assert abs(tvs[m] - tv) <= 1e-12
+        engine = HorizonProfile(p, q)
+        assert engine.h(8) == hs[8] and engine.tv(8) == tvs[8]
+
+
+def test_tree_node_laws_match_one_step(rng):
+    def check(measure, node, x, depth):
+        assert np.max(np.abs(np.asarray(node.dist)
+                             - measure.one_step(x))) <= 1e-15
+        if depth:
+            for y in range(measure.a):
+                check(measure, node.child(y), x + (y,), depth - 1)
+
+    for measure in walk_mixtures(rng):
+        check(measure, measure.tree_node(), (), 6 if measure.a == 2 else 4)
+
+
+def test_tree_walk_is_linear_in_the_nodes(monkeypatch, rng):
+    calls = [0]
+    one_step = Markov.one_step
+
+    def counted(self, history):
+        calls[0] += 1
+        return one_step(self, history)
+
+    monkeypatch.setattr(Markov, "one_step", counted)
+    for a, k, m in ((2, 2, 10), (2, 3, 8), (3, 2, 6)):
+        mix = mixture_of_chains(rng, a, 1, k)
+        calls[0] = 0
+        assert len(horizon_distribution(mix, m).items) == a ** m
+        assert calls[0] <= k * (a ** (m + 1) - 1) // (a - 1)
+
+
+def test_tree_walk_visits_parents_first_in_symbol_order():
+    p = Markov([[0.9, 0.1], [0.2, 0.8]], initial=[0.5, 0.5])
+    visited = [(x, lps[0]) for x, lps in tree_walk((p,), 2)]
+    assert [x for x, _ in visited] == [
+        (), (0,), (0, 0), (0, 1), (1,), (1, 0), (1, 1)]
+    for x, lp in visited:
+        assert lp == pytest.approx(p.cylinder_log_prob(x), abs=1e-15)
 
 
 # -- explicit restrictions ---------------------------------------------------

@@ -49,12 +49,9 @@ def test_stake_on_empty_string_rejected():
         BetOrder({(): 1.0})
 
 
-def test_order_merge_and_scale():
-    a = BetOrder({(0,): 1.0, (1, 0): 2.0})
-    b = BetOrder({(0,): 0.5})
-    merged = a.merged(b)
-    assert merged.stakes == {(0,): 1.5, (1, 0): 2.0}
-    scaled = merged.scaled(2.0)
+def test_order_scale_and_zero():
+    a = BetOrder({(0,): 1.5, (1, 0): 2.0})
+    scaled = a.scaled(2.0)
     assert scaled.stakes == {(0,): 3.0, (1, 0): 4.0}
     assert BetOrder.zero().is_zero()
     assert not a.is_zero()

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mergebet.errors import DomainError
-from mergebet.measures import BetaLearner, bernoulli
+from mergebet.measures import BetaLearner, FiniteMixture, IID, Markov, bernoulli
 from mergebet.metrics import hellinger_restricted
-from mergebet.scenarios import (ForecasterSpec, RealitySpec, SingularPairSpec,
+from mergebet.scenarios import (CoherentForecaster, ForecasterSpec,
+                                RealitySpec, SampledReality,
+                                SingularPairSpec, SwitchingReality, _draw,
                                 catalog, default_singular_pair, make_forecaster,
                                 make_reality, singular_pair)
 
@@ -73,6 +75,20 @@ def test_coherent_cache_extends_a_growing_list_and_rechecks_others():
             base.condition(tuple(other)).one_step(())[1], abs=1e-15)
 
 
+def test_memoryless_base_is_its_own_conditional(monkeypatch):
+    base = IID([0.3, 0.7])
+    calls = []
+    monkeypatch.setattr(IID, "condition",
+                        lambda self, prefix: calls.append(prefix))
+    f = CoherentForecaster(base)
+    history = []
+    for n, y in enumerate((1, 0, 1, 1), start=1):
+        assert f.announce(n, history) is base
+        history.append(y)
+    assert f.announce(9, [0, 0]) is base
+    assert not calls
+
+
 def test_scripted_forecaster_cycles():
     p, q = bernoulli(0.7), bernoulli(0.3)
     f = make_forecaster(ForecasterSpec("scripted", measures=[p, q]))
@@ -116,6 +132,52 @@ def test_switching_reality_frequency():
     late = draws[100:]
     freq = sum(late) / len(late)
     assert abs(freq - 0.9) < 0.01
+
+
+def draws_from_full_history(seed, law_at, t):
+    """Reality's draws as made from the whole history at every step."""
+    rng, path = np.random.default_rng(seed), []
+    for n in range(1, t + 1):
+        path.append(_draw(rng, law_at(n).one_step(tuple(path))))
+    return path
+
+
+def play_reality(reality, t):
+    path = []
+    for n in range(1, t + 1):
+        path.append(reality.next(n, path))
+    return path
+
+
+def test_realities_draw_the_same_paths_one_symbol_at_a_time():
+    iid = IID([0.2, 0.3, 0.5])
+    chain = Markov([[[0.7, 0.3], [0.4, 0.6]], [[0.1, 0.9], [0.5, 0.5]]],
+                   initial=[[0.6, 0.4], [[0.3, 0.7], [0.8, 0.2]]])
+    for measure in (iid, chain, bernoulli(0.3)):
+        assert play_reality(SampledReality(measure, 5), 400) == \
+            draws_from_full_history(5, lambda n: measure, 400)
+    before = bernoulli(0.2)
+    switch = SwitchingReality(150, before, chain, 9)
+    assert play_reality(switch, 400) == draws_from_full_history(
+        9, lambda n: before if n <= 150 else chain, 400)
+
+
+def test_mixture_reality_costs_linear_time(monkeypatch):
+    calls = [0]
+    one_step = Markov.one_step
+
+    def counted(self, history):
+        calls[0] += 1
+        return one_step(self, history)
+
+    monkeypatch.setattr(Markov, "one_step", counted)
+    mix = FiniteMixture([0.4, 0.6], [
+        Markov([[0.8, 0.2], [0.3, 0.7]], initial=[0.5, 0.5]),
+        Markov([[0.4, 0.6], [0.6, 0.4]], initial=[0.5, 0.5])])
+    t = 2000
+    path = play_reality(SampledReality(mix, 3), t)
+    assert len(path) == t
+    assert calls[0] <= 4 * t  # each step: one law per component, twice
 
 
 def test_reality_spec_validation():

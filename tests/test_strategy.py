@@ -209,6 +209,19 @@ def test_mixture_zero_orders_without_trigger():
     assert not mix.last_bets_placed
 
 
+def test_mixture_orders_carry_each_components_legs_at_its_weight():
+    mix = MixtureSceptic(j_max=6, m_max=64)
+    o_i, o_ii = mix.step_orders(ForecastPair(P04, P06))
+    betting = [(w, c) for w, c in zip(mix.weights, mix.components)
+               if c.holding]
+    assert len(betting) == 6 and mix.last_bets_placed
+    for order, side in ((o_i, 0), (o_ii, 1)):
+        assert not order.stakes
+        assert [k for k, _ in order.legs] == [w for w, _ in betting]
+        assert all(leg is c.legs[side]
+                   for (_, leg), (_, c) in zip(order.legs, betting))
+
+
 def test_mixture_weights_and_reserve():
     mix = MixtureSceptic(j_max=3)
     assert mix.weights == [0.5, 0.25, 0.125]
