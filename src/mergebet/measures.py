@@ -13,9 +13,12 @@ Families:
   * ``FiniteMixture``  -- Bayesian mixture of component measures.
   * ``Conditioned``    -- generic wrapper pinning a prefix of history.
 
-All measures are immutable after construction; ``condition`` returns a new
-object. Construction rejects any parameter that would yield a zero one-step
-probability (Cromwell's rule), optionally smoothing user tables with a floor.
+All measures are immutable after construction. ``child(y)`` is each family's
+one-symbol step, the conditional after one more symbol, which it does not
+validate; ``condition`` is defined once, in ``Measure``: it validates a prefix
+and folds ``child`` over it. Construction rejects any parameter that would
+yield a zero one-step probability (Cromwell's rule), optionally smoothing user
+tables with a floor.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -156,27 +159,30 @@ class Measure:
             lp += math.log(self.one_step(x[:i])[y])
         return lp
 
+    def child(self, y: Symbol) -> "Measure":
+        """The conditional measure after one more symbol ``y``, which the
+        caller has checked against the alphabet."""
+        return Conditioned(self, (y,))
+
     def condition(self, prefix: Sequence[Symbol]) -> "Measure":
         """The conditional measure on the continuation after ``prefix``."""
-        prefix = self.alphabet.check_string(prefix)
-        if not prefix:
-            return self
-        return Conditioned(self, prefix)
+        m = self
+        for y in self.alphabet.check_string(prefix):
+            m = m.child(y)
+        return m
 
     def sample_path(self, seed, t: int) -> String:
         """Draw ``t`` symbols; deterministic given the seed."""
         if t < 0:
             raise DomainError("path length must be >= 0")
         rng = np.random.default_rng(seed)
-        path = []
+        path, m = [], self
         for _ in range(t):
-            p = self.one_step(tuple(path))
-            path.append(int(rng.choice(self.a, p=p / p.sum())))
+            p = m.one_step(())
+            y = int(rng.choice(self.a, p=p / p.sum()))
+            path.append(y)
+            m = m.child(y)
         return tuple(path)
-
-    def tree_node(self) -> "TreeNode":
-        """Root of the outcome tree, for walks that carry state downwards."""
-        return TreeNode(self, ())
 
     # -- capability hooks (used by the metric fast paths) -----------------
 
@@ -193,41 +199,6 @@ class Measure:
     @property
     def exchangeable(self) -> bool:
         return self.count_log_probs(0) is not None
-
-
-class TreeNode:
-    """Node x of a measure's outcome tree: ``dist`` is the law of the next
-    symbol, ``child(y)`` the node xy. It keeps x and asks ``one_step``."""
-
-    __slots__ = ("measure", "path", "dist")
-
-    def __init__(self, measure: Measure, path: String):
-        self.measure, self.path = measure, path
-        self.dist = measure.one_step(path)
-
-    def child(self, y: Symbol) -> "TreeNode":
-        return TreeNode(self.measure, self.path + (y,))
-
-
-class _MixtureNode:
-    """Tree node of a mixture: a node per component and the posterior log
-    weights at x as floats; a child reweights by the components' laws of y."""
-
-    __slots__ = ("nodes", "logw", "dist")
-
-    def __init__(self, nodes: list, logw: list):
-        self.nodes, self.logw = nodes, logw
-        w = [math.exp(v) for v in logw]
-        dists = [n.dist for n in nodes]
-        self.dist = [math.fsum(wk * d[y] for wk, d in zip(w, dists))
-                     for y in range(len(dists[0]))]
-
-    def child(self, y: Symbol) -> "_MixtureNode":
-        lw = [v + math.log(n.dist[y]) for v, n in zip(self.logw, self.nodes)]
-        hi = max(lw)
-        z = hi + math.log(math.fsum(math.exp(v - hi) for v in lw))
-        return _MixtureNode([n.child(y) for n in self.nodes],
-                            [v - z for v in lw])
 
 
 class IID(Measure):
@@ -250,8 +221,7 @@ class IID(Measure):
         x = self.alphabet.check_string(x)
         return float(self._logw[list(x)].sum()) if x else 0.0
 
-    def condition(self, prefix):
-        self.alphabet.check_string(prefix)
+    def child(self, y: Symbol) -> "IID":
         return self
 
     def sample_path(self, seed, t: int) -> String:
@@ -307,6 +277,7 @@ class Markov(Measure):
             if t.shape != (a,) * (j + 1):
                 raise DomainError(f"initial law {j} has shape {t.shape}")
         self._context = _tail(self.alphabet.check_string(context), self.order)
+        self._states = {self._context: self}  # one conditional per context, shared
 
     def _norm_table(self, t: np.ndarray, floor) -> np.ndarray:
         if floor is not None:
@@ -326,16 +297,16 @@ class Markov(Measure):
         return self._init[len(tail)][tail] if tail else self._init[0]
 
     def one_step(self, history: String) -> np.ndarray:
+        if not history:
+            return self.dist_from_tail(self._context)
         return self.dist_from_tail(_tail(self._context + tuple(history), self.order))
 
-    def condition(self, prefix):
-        prefix = self.alphabet.check_string(prefix)
-        if not prefix:
-            return self
-        m = Markov.__new__(Markov)
-        Measure.__init__(m, self.alphabet)
-        m.order, m._tr, m._init = self.order, self._tr, self._init
-        m._context = _tail(self._context + prefix, self.order)
+    def child(self, y: Symbol) -> "Markov":
+        ctx = _tail(self._context + (y,), self.order)
+        m = self._states.get(ctx)
+        if m is None:
+            m = self._states[ctx] = Markov.__new__(Markov)
+            m.__dict__.update(self.__dict__, _context=ctx)
         return m
 
     def chain_view(self):
@@ -346,7 +317,7 @@ class BetaLearner(Measure):
     """Dirichlet (Polya urn) sequential learner.
 
     One-step law after history h: (alpha_y + count_y(h)) / (sum alpha + |h|).
-    Conditioning folds observed counts into the pseudo-counts.
+    A child adds its symbol's count to the pseudo-counts.
     """
 
     def __init__(self, pseudo_counts, alphabet: Optional[Alphabet] = None):
@@ -374,14 +345,12 @@ class BetaLearner(Measure):
             c[y] += 1
         return lp
 
-    def condition(self, prefix):
-        prefix = self.alphabet.check_string(prefix)
-        if not prefix:
-            return self
+    def child(self, y: Symbol) -> "BetaLearner":
         # bypass __init__ checks: posterior counts of a valid learner stay valid
         b = BetaLearner.__new__(BetaLearner)
         Measure.__init__(b, self.alphabet)
-        a = self._alpha + np.bincount(prefix, minlength=self.a)
+        a = self._alpha.copy()
+        a[y] += 1.0
         a.flags.writeable = False
         b._alpha = a
         b._alpha0 = float(a.sum())
@@ -410,34 +379,36 @@ class FiniteMixture(Measure):
     def __init__(self, weights, components: Sequence[Measure]):
         comps = list(components)
         w = _validated_weights(weights, None)
-        self._init_from_logw(np.log(w), comps)
-
-    @classmethod
-    def _from_log_weights(cls, logw: np.ndarray,
-                          components: Sequence[Measure]) -> "FiniteMixture":
-        m = cls.__new__(cls)
-        m._init_from_logw(logw - logsumexp(logw), list(components))
-        return m
-
-    def _init_from_logw(self, logw: np.ndarray, comps) -> None:
         if not comps:
             raise DomainError("mixture needs at least one component")
-        Measure.__init__(self, comps[0].alphabet)
+        super().__init__(comps[0].alphabet)
         for c in comps:
             if c.alphabet.size != self.a:
                 raise DomainError("mixture components disagree on the alphabet")
-        if logw.size != len(comps):
+        if w.size != len(comps):
             raise DomainError("one weight per component required")
-        if np.any(np.isnan(logw)) or np.any(logw == np.inf):
-            raise DomainError("invalid mixture weights")
-        logw = np.array(logw, dtype=float)
-        logw.flags.writeable = False
-        self._logw = logw
         self.components = comps
+        self._lw = np.log(w).tolist()  # log weights, as floats
+        self._next = None  # _laws(), on first use
+
+    @property
+    def _logw(self) -> np.ndarray:
+        return np.array(self._lw)
 
     @property
     def weights(self) -> np.ndarray:
         return np.exp(self._logw)
+
+    def _laws(self) -> Tuple[list, np.ndarray]:
+        """Each component's law of the next symbol, and the mixture's."""
+        if self._next is None:
+            laws = [c.one_step(()) for c in self.components]
+            law = math.exp(self._lw[0]) * laws[0]
+            for v, d in zip(self._lw[1:], laws[1:]):
+                law += math.exp(v) * d
+            law.flags.writeable = False
+            self._next = laws, law
+        return self._next
 
     def _posterior_logw(self, history: String) -> np.ndarray:
         lw = self._logw + np.array([c.cylinder_log_prob(history)
@@ -446,8 +417,9 @@ class FiniteMixture(Measure):
 
     def one_step(self, history: String) -> np.ndarray:
         history = tuple(history)
-        post = np.exp(self._posterior_logw(history)) if history \
-            else np.exp(self._logw)
+        if not history:
+            return self._laws()[1]
+        post = np.exp(self._posterior_logw(history))
         dists = np.stack([c.one_step(history) for c in self.components])
         return post @ dists
 
@@ -456,17 +428,17 @@ class FiniteMixture(Measure):
         return float(logsumexp(self._logw + np.array(
             [c.cylinder_log_prob(x) for c in self.components])))
 
-    def tree_node(self) -> _MixtureNode:
-        return _MixtureNode([c.tree_node() for c in self.components],
-                            self._logw.tolist())
-
-    def condition(self, prefix):
-        prefix = self.alphabet.check_string(prefix)
-        if not prefix:
-            return self
-        return FiniteMixture._from_log_weights(
-            self._posterior_logw(prefix),
-            [c.condition(prefix) for c in self.components])
+    def child(self, y: Symbol) -> "FiniteMixture":
+        # Bayes' rule in floats: add each component's log law of y, then
+        # renormalise by a max shift, so no weight rounds to a literal zero
+        lw = [v + math.log(d[y]) for v, d in zip(self._lw, self._laws()[0])]
+        hi = max(lw)
+        z = hi + math.log(math.fsum(math.exp(v - hi) for v in lw))
+        m = FiniteMixture.__new__(FiniteMixture)
+        m.alphabet, m._next = self.alphabet, None
+        m.components = [c.child(y) for c in self.components]
+        m._lw = [v - z for v in lw]
+        return m
 
     def count_log_probs(self, m: int) -> Optional[np.ndarray]:
         per_comp = [c.count_log_probs(m) for c in self.components]
@@ -496,11 +468,11 @@ class Conditioned(Measure):
         return (self.base.cylinder_log_prob(self.prefix + x)
                 - self.base.cylinder_log_prob(self.prefix))
 
-    def condition(self, prefix):
-        prefix = self.alphabet.check_string(prefix)
-        if not prefix:
-            return self
-        return Conditioned(self.base, self.prefix + prefix)
+    def child(self, y: Symbol) -> "Conditioned":
+        c = Conditioned.__new__(Conditioned)
+        Measure.__init__(c, self.alphabet)
+        c.base, c.prefix = self.base, self.prefix + (y,)
+        return c
 
     def chain_view(self):
         v = self.base.chain_view()

@@ -10,9 +10,9 @@ pair's route once and memoises what it computes:
                  vectors, and H_m and TV_m share the count_log_probs arrays.
   * enumerate -- one depth-first walk of the outcome tree fills H and TV up
                  to the deepest horizon asked for; refused beyond a budget.
-                 ``tree_walk`` carries each measure's tree node from parent
-                 to child (a mixture's holds its posterior weights); the
-                 brute-force oracles in ``harness`` do not use it.
+                 ``tree_walk`` steps each measure from parent to child with
+                 ``Measure.child`` (a mixture carries its posterior weights);
+                 the brute-force oracles in ``harness`` do not use it.
 
 Measures are immutable, so ``pair_profile`` finds the engines of the last few
 pairs again by the identity of the two measures, in either order: when
@@ -37,26 +37,17 @@ from .measures import Measure, String, _tail, log_multinomial, logsumexp
 DEFAULT_BUDGET = 2 ** 22
 
 
+def _max_horizon(a: int, budget: int) -> float:
+    """The deepest horizon m whose a**m strings the budget affords."""
+    if a == 1:
+        return math.inf
+    return math.floor((math.log(budget) + 1e-9) / math.log(a))
+
+
 def _check_budget(a: int, m: int, budget: int) -> None:
-    if m * math.log(a) > math.log(budget) + 1e-9:
+    if m > _max_horizon(a, budget):
         raise BudgetExceeded(
             f"enumeration over {a}^{m} strings exceeds the budget of {budget} terms")
-
-
-class _Kahan:
-    """Compensated accumulator; keeps tree-walk sums accurate to ~1 ulp."""
-
-    __slots__ = ("s", "c")
-
-    def __init__(self):
-        self.s = 0.0
-        self.c = 0.0
-
-    def add(self, x: float) -> None:
-        y = x - self.c
-        t = self.s + y
-        self.c = (t - self.s) - y
-        self.s = t
 
 
 # -- chain (DP) route ------------------------------------------------------
@@ -111,19 +102,23 @@ def _count_esr(f: Measure, p: Measure, q: Measure, m: int) -> Optional[float]:
 
 # -- enumeration route -------------------------------------------------------
 
+#: terms of one horizon that ``_enum_profiles`` collects before summing them
+_FOLD = 2 ** 16
+
+
 def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
               ) -> Iterator[Tuple[String, List[float]]]:
     """(x, [log P(x) under each measure]) for each x in Y^<=m, depth first,
-    parents first, symbols in order, carrying tree nodes from parent to child."""
+    parents first, symbols in order, stepping each measure to its child."""
     a = measures[0].a
     _check_budget(a, m, budget)
-    stack = [((), [p.tree_node() for p in measures], [0.0] * len(measures))]
+    stack = [((), list(measures), [0.0] * len(measures))]
     while stack:
         x, nodes, lps = stack.pop()
         yield x, lps
         if len(x) < m:
-            dists = [node.dist for node in nodes]
-            inner = len(x) + 1 < m  # a leaf needs no node
+            dists = [node.one_step(()) for node in nodes]
+            inner = len(x) + 1 < m  # a leaf needs no measure
             for y in reversed(range(a)):
                 stack.append((x + (y,),
                               [n.child(y) for n in nodes] if inner else None,
@@ -133,13 +128,16 @@ def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
 def _enum_profiles(p: Measure, q: Measure, max_m: int,
                    budget: int) -> Tuple[np.ndarray, np.ndarray]:
     """(H_0..H_max, TV_0..TV_max) by one depth-first walk of the tree."""
-    hell = [_Kahan() for _ in range(max_m + 1)]
-    tv = [_Kahan() for _ in range(max_m + 1)]
+    hell: List[list] = [[] for _ in range(max_m + 1)]
+    tv: List[list] = [[] for _ in range(max_m + 1)]
     for x, (lp, lq) in tree_walk((p, q), max_m, budget):
-        hell[len(x)].add(math.exp(0.5 * (lp + lq)))
-        tv[len(x)].add(abs(math.exp(lp) - math.exp(lq)))
-    return (np.minimum(np.array([k.s for k in hell]), 1.0),
-            np.array([k.s for k in tv]))
+        h, t = hell[len(x)], tv[len(x)]
+        h.append(math.exp(0.5 * (lp + lq)))
+        t.append(abs(math.exp(lp) - math.exp(lq)))
+        if len(h) == _FOLD:  # bounds memory; each fold rounds once
+            h[:], t[:] = [math.fsum(h)], [math.fsum(t)]
+    return (np.minimum([math.fsum(h) for h in hell], 1.0),
+            np.array([math.fsum(t) for t in tv]))
 
 
 # -- the pair engine ----------------------------------------------------------
@@ -223,7 +221,7 @@ class HorizonProfile:
         if m_max < 1:
             return None
         if self._chain is None and self._count_arrays(m_max) is None:
-            cap = int(math.log(self.budget) / math.log(max(self.p.a, 2)))
+            cap = _max_horizon(self.p.a, self.budget)
             if m_max > cap:
                 HorizonProfile.capped_searches += 1
                 m_max = cap
@@ -284,8 +282,10 @@ def affinity_profile(p: Measure, q: Measure, max_m: int, method: str = "auto",
     """H_0 .. H_max as an array."""
     if max_m < 0:
         raise DomainError("horizon must be >= 0")
-    if method not in ("auto", "dp"):
+    if method == "enumerate":
         return _enum_profiles(p, q, max_m, budget)[0]
+    if method not in ("auto", "dp"):
+        raise DomainError(f"unknown method {method!r}")
     h = pair_profile(p, q, budget).h if method == "auto" \
         else _chain_affinity(p, q)
     return np.array([h(m) for m in range(max_m + 1)])
@@ -328,11 +328,9 @@ def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
     v = _count_esr(f, p, q, m)
     if v is not None:
         return v
-    acc = _Kahan()
-    for x, (lf, lp, lq) in tree_walk((f, p, q), m, budget):
-        if len(x) == m:
-            acc.add(math.exp(lf + 0.5 * (lq - lp)))
-    return acc.s
+    return math.fsum(math.exp(lf + 0.5 * (lq - lp))
+                     for x, (lf, lp, lq) in tree_walk((f, p, q), m, budget)
+                     if len(x) == m)
 
 
 @dataclass

@@ -69,12 +69,13 @@ class HedgeLeg:
                                                  self.horizon, budget=budget)
 
     def advance(self, y: int) -> Optional[float]:
-        """Observe one symbol; returns the cash payoff if the leg expires."""
+        """Observe one symbol, already checked against the alphabet; returns
+        the cash payoff if the leg expires."""
         p = self.own.one_step(())[y]
         q = self.other.one_step(())[y]
         self.scale *= math.sqrt(q / p)
-        self.own = self.own.condition((y,))
-        self.other = self.other.condition((y,))
+        self.own = self.own.child(y)
+        self.other = self.other.child(y)
         self.horizon -= 1
         return self.scale if self.horizon == 0 else None
 

@@ -81,6 +81,7 @@ def test_markov_condition_starts_from_state():
     tr = [[0.9, 0.1], [0.3, 0.7]]
     m = Markov(tr, initial=[0.5, 0.5])
     c = m.condition((0, 1))
+    assert c is m.condition((1,))  # one conditional per context
     started = Markov(tr, initial=[0.3, 0.7])  # one-step law out of state 1
     for depth in range(5):
         for x in np.ndindex(*([2] * depth)):
@@ -95,6 +96,15 @@ def test_conditioning_identity_random_measures(rng):
         x = tuple(int(s) for s in rng.integers(0, 2, size=rng.integers(0, 5)))
         lhs = p.condition(h).cylinder_log_prob(x) + p.cylinder_log_prob(h)
         assert lhs == pytest.approx(p.cylinder_log_prob(h + x), abs=1e-10)
+
+
+def test_condition_rejects_symbols_outside_the_alphabet():
+    chain = Markov([[0.9, 0.1], [0.3, 0.7]], initial=[0.5, 0.5])
+    for p in (bernoulli(0.4), chain, BetaLearner([0.5, 0.5]),
+              FiniteMixture([0.5, 0.5], [bernoulli(0.4), chain]),
+              Conditioned(chain, (1,))):
+        with pytest.raises(DomainError, match="symbol 2 outside"):
+            p.condition((0, 2))
 
 
 def test_conditioned_wrapper_flattens():
@@ -141,6 +151,23 @@ def test_sample_path_frequency():
     path = bernoulli(0.4).sample_path(123, 100_000)
     freq = sum(path) / len(path)
     assert abs(freq - 0.4) < 0.01
+
+
+def test_sample_path_of_a_mixture_costs_linear_time(monkeypatch):
+    calls = [0]
+    one_step = Markov.one_step
+
+    def counted(self, history):
+        calls[0] += 1
+        return one_step(self, history)
+
+    monkeypatch.setattr(Markov, "one_step", counted)
+    mix = FiniteMixture([0.4, 0.6], [
+        Markov([[0.8, 0.2], [0.3, 0.7]], initial=[0.5, 0.5]),
+        Markov([[0.4, 0.6], [0.6, 0.4]], initial=[0.5, 0.5])])
+    t = 2000
+    assert len(mix.sample_path(5, t)) == t
+    assert calls[0] <= 2 * t  # each draw: one law per component
 
 
 def test_sample_path_negative_length():

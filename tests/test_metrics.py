@@ -106,6 +106,8 @@ def test_enumerate_respects_budget():
 def test_unknown_method():
     with pytest.raises(DomainError):
         hellinger_restricted(bernoulli(0.4), bernoulli(0.6), 2, method="magic")
+    with pytest.raises(DomainError):
+        affinity_profile(bernoulli(0.4), bernoulli(0.6), 2, method="magic")
 
 
 def test_negative_horizon():
@@ -204,6 +206,24 @@ def test_find_below_short_circuit():
     prof = HorizonProfile(p, p)
     assert prof.find_below(0.5, 0) is None
     assert prof.find_below(0.5, 64) is None
+
+
+def test_find_below_searches_every_horizon_the_budget_affords():
+    uniform = Markov(np.full((3, 3), 1 / 3), initial=np.full(3, 1 / 3))
+    sticky = Markov(np.full((3, 3), 0.25) + 0.25 * np.eye(3),
+                    initial=np.full(3, 1 / 3))
+    p = FiniteMixture([0.5, 0.5], [uniform, sticky])
+    q = FiniteMixture([0.9, 0.1], [uniform, sticky])
+    budget = 3 ** 5  # affords m = 5 exactly
+    hellinger_restricted(p, q, 5, method="enumerate", budget=budget)
+    with pytest.raises(BudgetExceeded):
+        hellinger_restricted(p, q, 6, method="enumerate", budget=budget)
+    engine = HorizonProfile(p, q, budget)
+    threshold = 0.5 * (engine.h(4) + engine.h(5))
+    capped = HorizonProfile.capped_searches
+    assert engine.find_below(threshold, 8) == 5
+    assert HorizonProfile.capped_searches == capped + 1
+    assert HorizonProfile(p, q, budget).find_below(threshold, 5) == 5
 
 
 # -- the pair engine ------------------------------------------------------------
@@ -332,16 +352,24 @@ def test_enumeration_walk_matches_oracle_on_mixtures(rng):
         assert engine.h(8) == hs[8] and engine.tv(8) == tvs[8]
 
 
+def test_enumeration_sums_fold_without_losing_accuracy(monkeypatch, rng):
+    p, q = walk_mixtures(rng)[:2]
+    whole = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+    monkeypatch.setattr(metrics, "_FOLD", 3)  # fold every level's terms often
+    folded = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+    for a, b in zip(whole, folded):  # under 2^8 folds a level, each rounding
+        assert np.max(np.abs(a - b)) <= 2 ** 8 * 2.0 ** -52  # a sum below 2
+
+
 def test_tree_node_laws_match_one_step(rng):
     def check(measure, node, x, depth):
-        assert np.max(np.abs(np.asarray(node.dist)
-                             - measure.one_step(x))) <= 1e-15
+        assert np.max(np.abs(node.one_step(()) - measure.one_step(x))) <= 1e-15
         if depth:
             for y in range(measure.a):
                 check(measure, node.child(y), x + (y,), depth - 1)
 
     for measure in walk_mixtures(rng):
-        check(measure, measure.tree_node(), (), 6 if measure.a == 2 else 4)
+        check(measure, measure, (), 6 if measure.a == 2 else 4)
 
 
 def test_tree_walk_is_linear_in_the_nodes(monkeypatch, rng):
