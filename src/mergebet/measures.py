@@ -19,15 +19,19 @@ validate; ``condition`` is defined once, in ``Measure``: it validates a prefix
 and folds ``child`` over it. Construction rejects any parameter that would
 yield a zero one-step probability (Cromwell's rule), optionally smoothing user
 tables with a floor.
+
+Each family gives all strings of one type (``TypeTable``, named by
+``type_key``) one probability, its ``type_log_probs``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,30 +97,87 @@ def _tail(s: String, k: int) -> String:
     return s if len(s) < k else s[-k:]
 
 
-@lru_cache(maxsize=None)
-def compositions(m: int, a: int) -> np.ndarray:
-    """All count vectors (c_0,...,c_{a-1}) with sum m, lexicographic order."""
-    if a == 1:
-        return np.array([[m]], dtype=np.int64)
-    rows = []
-    for c0 in range(m + 1):
-        rest = compositions(m - c0, a - 1)
-        block = np.empty((rest.shape[0], a), dtype=np.int64)
-        block[:, 0] = c0
-        block[:, 1:] = rest
-        rows.append(block)
-    return np.vstack(rows)
+class TypeTable:
+    """The order-k types of the strings of Y^<=m after a context c: the
+    counts of a string's cells (context, y), the context being c plus the
+    string so far while that is shorter than k (the ramp), else its last k
+    symbols. A measure whose ``type_key`` agrees with (k, c) gives a type's
+    strings one probability (Whittle 1955; Csiszar 1998), so a sum over Y^m
+    collapses onto ``rows[m]``: lexicographic in their cell ``counts`` (a
+    column per (context, y) of ``contexts``, y fastest; order 0 lists the
+    count vectors of m), with their ``symbols`` counts, the exact number
+    ``mult`` of strings of the type and its ``log_mult``.
+    """
+
+    def __init__(self, a: int, order: int, context: String):
+        self.key = a, order, context
+        self.contexts = [context + s for j in range(order - len(context))
+                         for s in product(range(a), repeat=j)]
+        self.contexts += product(range(a), repeat=order)
+        index = {c: i for i, c in enumerate(self.contexts)}
+        # per context and symbol: (the cell's column, the next context)
+        self._step = [[(i * a + y, index[_tail(c + (y,), order)])
+                       for y in range(a)] for i, c in enumerate(self.contexts)]
+        self._last = {(0,) * (a * len(self.contexts)): (index[context], 1)}
+        self.counts = np.array(list(self._last), dtype=np.int32)
+        self.symbols = np.zeros((1, a), dtype=np.int32)  # counts by symbol
+        self.mult, self.stop, self.rows = [1], [1], [slice(0, 1)]  # by level
+        self.log_mult = self._logs(self.counts, self.mult)
+
+    def reach(self, m: int, budget: int) -> int:
+        """Grow towards level m within ``budget`` rows (a level adds at most
+        a times the rows so far); the deepest level <= m the budget affords."""
+        a, new = self.key[0], []
+        room = budget // (a + 1)
+        while len(self.stop) <= m and self.stop[-1] <= room:
+            nxt: dict = {}  # counts -> (context, multiplicity)
+            for key, (i, mult) in self._last.items():
+                for j, i2 in self._step[i]:
+                    key2 = key[:j] + (key[j] + 1,) + key[j + 1:]
+                    nxt[key2] = (i2, mult + nxt.get(key2, (0, 0))[1])
+            self._last = dict(sorted(nxt.items()))
+            new.append(np.array(list(self._last), dtype=np.int32))
+            self.mult += [v[1] for v in self._last.values()]
+            self.rows.append(slice(self.stop[-1], self.stop[-1] + len(nxt)))
+            self.stop.append(self.rows[-1].stop)
+        if new:
+            new = np.vstack(new)
+            self.counts = np.vstack([self.counts, new])
+            self.symbols = self.counts.reshape(len(self.counts), -1, a).sum(1)
+            self.log_mult = np.concatenate([
+                self.log_mult, self._logs(new, self.mult[-len(new):])])
+        return min(m, len(self.stop) - 1, bisect_right(self.stop, room))
+
+    def _logs(self, counts: np.ndarray, mult: list) -> np.ndarray:
+        if self.key[1]:
+            return np.array([math.log(k) for k in mult])
+        # order 0 as the count route had it, bit for bit: log m! - sum log c!
+        log_fact = np.array([math.log(f) for f in accumulate(
+            range(1, len(self.stop)), operator.mul, initial=1)])
+        return log_fact[counts.sum(axis=1)] - log_fact[counts].sum(axis=1)
 
 
-@lru_cache(maxsize=None)
-def log_multinomial(m: int, a: int) -> np.ndarray:
-    """log of the number of strings realizing each composition of m over a symbols."""
-    # log of the exact k! is within an ulp of ln k!; math.lgamma(k + 1) is off
-    # by up to 3 ulps, which can round the count-route mass of two equal
-    # measures, and so their H_m, below 1
-    log_fact = np.array([math.log(f) for f in  # log 0!, log 1!, .., log m!
-                         accumulate(range(1, m + 1), operator.mul, initial=1)])
-    return log_fact[m] - log_fact[compositions(m, a)].sum(axis=1)
+@lru_cache(maxsize=16)
+def type_table(a: int, order: int, context: String) -> TypeTable:
+    """The shared type table of (a, order, context); sixteen are kept."""
+    return TypeTable(a, order, context)
+
+
+def joint_type(measures: Sequence["Measure"]) -> Optional[Tuple[int, String]]:
+    """The highest order after the longest context; None when a measure has
+    no type or the contexts do not end alike."""
+    joint = 0, ()
+    for x in measures:
+        key = x.type_key()
+        if key != joint:
+            if key is None:
+                return None
+            (k1, c1), (k2, c2) = joint, key
+            c = c1 if len(c1) >= len(c2) else c2
+            if _tail(c, k1) != c1 or _tail(c, k2) != c2:
+                return None
+            joint = max(k1, k2), c
+    return joint
 
 
 def _validated_weights(w, floor: Optional[float]) -> np.ndarray:
@@ -140,6 +201,7 @@ class Measure:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
+        self._tlp: dict = {}  # a chain's type_log_probs by (table key, m)
 
     @property
     def a(self) -> int:
@@ -190,15 +252,22 @@ class Measure:
         """Bounded-memory representation, or None if the family has none."""
         return None
 
-    def count_log_probs(self, m: int) -> Optional[np.ndarray]:
-        """Per-string log-probabilities by future count vector, for
-        exchangeable families; aligned with ``compositions(m, a)``.
-        Returns None when the family is not exchangeable."""
-        return None
+    def type_key(self) -> Optional[Tuple[int, String]]:
+        """(k, c) when all strings of one order-k type after context c have
+        one probability (see ``TypeTable``), else None: a chain's view."""
+        v = self.chain_view()
+        return None if v is None else (v.order, v.context)
 
-    @property
-    def exchangeable(self) -> bool:
-        return self.count_log_probs(0) is not None
+    def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
+        """log P of a string of each type of level m of a table whose key
+        agrees with ``type_key``: a chain sums log P(y | context) by cell."""
+        out = self._tlp.get((table.key, m))
+        if out is None:
+            v = self.chain_view()
+            log_theta = np.concatenate([np.log(v.dist(_tail(c, v.order)))
+                                        for c in table.contexts])
+            out = self._tlp[table.key, m] = table.counts[table.rows[m]] @ log_theta
+        return out
 
 
 class IID(Measure):
@@ -212,7 +281,6 @@ class IID(Measure):
             raise DomainError("weight vector length does not match alphabet")
         self._w = w
         self._logw = np.log(w)
-        self._clp: dict = {}  # m -> count_log_probs(m); the weights never change
 
     def one_step(self, history: String) -> np.ndarray:
         return self._w
@@ -233,12 +301,8 @@ class IID(Measure):
     def chain_view(self):
         return ChainView(0, (), lambda tail: self._w)
 
-    def count_log_probs(self, m: int) -> np.ndarray:
-        out = self._clp.get(m)
-        if out is None:
-            out = self._clp[m] = compositions(m, self.a) @ self._logw
-            out.flags.writeable = False
-        return out
+    def type_key(self):
+        return 0, ()
 
 
 def bernoulli(p_one: float) -> IID:
@@ -312,6 +376,9 @@ class Markov(Measure):
     def chain_view(self):
         return ChainView(self.order, self._context, self.dist_from_tail)
 
+    def type_key(self):
+        return self.order, self._context
+
 
 class BetaLearner(Measure):
     """Dirichlet (Polya urn) sequential learner.
@@ -356,7 +423,10 @@ class BetaLearner(Measure):
         b._alpha0 = float(a.sum())
         return b
 
-    def count_log_probs(self, m: int) -> np.ndarray:
+    def type_key(self):
+        return 0, ()
+
+    def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
         # log rising factorials: running sums of log(alpha_y + i), last row
         # log(alpha0 + i); log-gamma differences near n lose ~eps * n log n
         cum = getattr(self, "_rising", None)
@@ -364,7 +434,7 @@ class BetaLearner(Measure):
             cum = self._rising = np.zeros((self.a + 1, m + 1))
             np.cumsum(np.log(np.append(self._alpha, self._alpha0)[:, None]
                              + np.arange(m)), axis=1, out=cum[:, 1:])
-        c = compositions(m, self.a)
+        c = table.symbols[table.rows[m]]
         return sum(cum[y].take(c[:, y]) for y in range(self.a)) - cum[-1, m]
 
 
@@ -440,11 +510,12 @@ class FiniteMixture(Measure):
         m._lw = [v - z for v in lw]
         return m
 
-    def count_log_probs(self, m: int) -> Optional[np.ndarray]:
-        per_comp = [c.count_log_probs(m) for c in self.components]
-        if any(v is None for v in per_comp):
-            return None
-        stacked = np.stack(per_comp) + self._logw[:, None]
+    def type_key(self):
+        return joint_type(self.components)
+
+    def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
+        stacked = np.stack([c.type_log_probs(table, m)
+                            for c in self.components]) + self._logw[:, None]
         return logsumexp(stacked, axis=0)
 
 

@@ -3,16 +3,17 @@
 ``HorizonProfile`` is the metrics engine of one ordered pair. It picks the
 pair's route once and memoises what it computes:
 
-  * chain     -- both measures have a bounded-memory chain view: H_m by
-                 joint-context dynamic programming, or rho**m in closed form
-                 when both are memoryless (TV_m takes the next route that fits).
-  * count     -- both are exchangeable: sums over Y^m collapse onto count
-                 vectors, and H_m and TV_m share the count_log_probs arrays.
-  * enumerate -- one depth-first walk of the outcome tree fills H and TV up
-                 to the deepest horizon asked for; refused beyond a budget.
-                 ``tree_walk`` steps each measure from parent to child with
-                 ``Measure.child`` (a mixture carries its posterior weights);
-                 the brute-force oracles in ``harness`` do not use it.
+  * chain -- both measures have a bounded-memory chain view: H_m by
+             joint-context dynamic programming, or rho**m in closed form
+             when both are memoryless (TV_m takes the next route that fits).
+  * type  -- the pair has a joint type: a sum over Y^m collapses onto the
+             types of level m of a cached ``measures.TypeTable``, weighted by
+             their exact multiplicities; order 0 (i.i.d., Beta learners and
+             their mixtures) sums as the old count route did, bit for bit.
+  * walk  -- otherwise, or beyond the type table's budget, one depth-first
+             walk of the outcome tree fills H and TV up to the deepest horizon
+             asked for; refused beyond a budget. ``tree_walk`` steps each
+             measure with ``Measure.child``; the oracles do not use it.
 
 Measures are immutable, so ``pair_profile`` finds the engines of the last few
 pairs again by the identity of the two measures, in either order: when
@@ -31,7 +32,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError, MethodUnsupported
-from .measures import Measure, String, _tail, log_multinomial, logsumexp
+from .measures import (Measure, String, _tail, joint_type, logsumexp,
+                       type_table)
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -42,12 +44,6 @@ def _max_horizon(a: int, budget: int) -> float:
     if a == 1:
         return math.inf
     return math.floor((math.log(budget) + 1e-9) / math.log(a))
-
-
-def _check_budget(a: int, m: int, budget: int) -> None:
-    if m > _max_horizon(a, budget):
-        raise BudgetExceeded(
-            f"enumeration over {a}^{m} strings exceeds the budget of {budget} terms")
 
 
 # -- chain (DP) route ------------------------------------------------------
@@ -90,16 +86,6 @@ def _chain_affinity(p: Measure, q: Measure) -> Callable[[int], float]:
     return lambda m: min(chain.up_to(m), 1.0)
 
 
-# -- count-based route (exchangeable triples) -------------------------------
-
-def _count_esr(f: Measure, p: Measure, q: Measure, m: int) -> Optional[float]:
-    lf, lp, lq = (x.count_log_probs(m) for x in (f, p, q))
-    if lf is None or lp is None or lq is None:
-        return None
-    lc = log_multinomial(m, f.a)
-    return float(np.exp(lc + lf + 0.5 * (lq - lp)).sum())
-
-
 # -- enumeration route -------------------------------------------------------
 
 #: terms of one horizon that ``_enum_profiles`` collects before summing them
@@ -111,7 +97,9 @@ def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
     """(x, [log P(x) under each measure]) for each x in Y^<=m, depth first,
     parents first, symbols in order, stepping each measure to its child."""
     a = measures[0].a
-    _check_budget(a, m, budget)
+    if m > _max_horizon(a, budget):
+        raise BudgetExceeded(
+            f"enumeration over {a}^{m} strings exceeds the budget of {budget} terms")
     stack = [((), list(measures), [0.0] * len(measures))]
     while stack:
         x, nodes, lps = stack.pop()
@@ -147,9 +135,8 @@ class HorizonProfile:
     picked for the pair, and a bisection for the smallest horizon with H_m
     below a threshold (H_m is non-increasing in m).
 
-    The chain route is taken when both measures have a chain view; otherwise
-    the first ``count_log_probs`` call settles between count and enumeration,
-    so exchangeability is never probed by a call of its own.
+    Off the chain route a level is summed over its types, or walked when the
+    pair has no joint type or the type table cannot afford the level.
     """
 
     #: searches cut short by the enumeration budget, summed over all engines
@@ -162,66 +149,61 @@ class HorizonProfile:
             self._chain = _chain_affinity(p, q)
         except MethodUnsupported:
             self._chain = None
-        self._countable: Optional[bool] = None
-        self._counts: dict = {}  # m -> (count_log_probs(m) of p, of q)
-        self._h = {0: 1.0}
-        self._tv = {0: 0.0}
+        types = joint_type((p, q))
+        self._table = None if types is None else type_table(p.a, *types)
+        self._reach = -1  # the deepest level the type table is known to afford
+        self._logps: dict = {}  # m -> type_log_probs(m) of p, of q
+        self._memo = ({0: 1.0}, {0: 0.0})  # H_m, TV_m
 
-    def _count_arrays(self, m: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """count_log_probs(m) of p and of q, or None off the count route."""
-        arrays = self._counts.get(m)
-        if arrays is None and self._countable is not False:
-            lp = self.p.count_log_probs(m)
-            lq = None if lp is None else self.q.count_log_probs(m)
-            self._countable = lq is not None
-            if self._countable:
-                arrays = self._counts[m] = (lp, lq)
-        return arrays
+    def _typed(self, m: int) -> bool:
+        if m > self._reach and self._table is not None:
+            self._reach = self._table.reach(m, self.budget)
+        return m <= self._reach
 
-    def _walk(self, m: int) -> Tuple[float, float]:
-        """Fill H (off the chain route) and TV up to m by one tree walk."""
-        hs, tvs = _enum_profiles(self.p, self.q, m, self.budget)
-        if self._chain is None:
-            self._h.update(enumerate(hs.tolist()))
-        self._tv.update(enumerate(tvs.tolist()))
-        return float(hs[m]), float(tvs[m])
+    def _read(self, m: int, which: int) -> float:
+        """H_m (which = 0) or TV_m (1), memoised."""
+        v = self._memo[which].get(m)
+        if v is not None:
+            return v
+        if not self._typed(m):  # one walk fills H (off the chain route) and TV
+            hs, tvs = _enum_profiles(self.p, self.q, m, self.budget)
+            if self._chain is None:
+                self._memo[0].update(enumerate(hs.tolist()))
+            self._memo[1].update(enumerate(tvs.tolist()))
+            return float((hs, tvs)[which][m])
+        t = self._table
+        if m not in self._logps:
+            self._logps[m] = (self.p.type_log_probs(t, m),
+                              self.q.type_log_probs(t, m))
+        lp, lq = self._logps[m]
+        lc = t.log_mult[t.rows[m]]
+        self._memo[which][m] = v = (
+            min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
+            else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
+        return v
 
     def h(self, m: int) -> float:
         """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
         if self._chain is not None:
             return self._chain(m)
-        v = self._h.get(m)
-        if v is None:
-            arrays = self._count_arrays(m)
-            if arrays is None:
-                return self._walk(m)[0]
-            lc = log_multinomial(m, self.p.a)
-            v = self._h[m] = min(
-                float(np.exp(lc + 0.5 * (arrays[0] + arrays[1])).sum()), 1.0)
-        return v
+        v = self._memo[0].get(m)  # the memo first: the search reads it most
+        return self._read(m, 0) if v is None else v
 
     def tv(self, m: int) -> float:
         """Total variation of the horizon-m restrictions; in [0, 2]."""
-        v = self._tv.get(m)
-        if v is None:
-            arrays = self._count_arrays(m)
-            if arrays is None:
-                return self._walk(m)[1]
-            lc = log_multinomial(m, self.p.a)
-            v = self._tv[m] = float(
-                np.abs(np.exp(lc + arrays[0]) - np.exp(lc + arrays[1])).sum())
-        return v
+        return self._read(m, 1)
 
     def find_below(self, threshold: float, m_max: int) -> Optional[int]:
         """Smallest m <= m_max with H_m < threshold (strict), else None.
 
-        On the enumeration route the search stops at the largest horizon the
-        budget affords and counts itself in ``capped_searches``.
+        Off the chain route the search stops at the deepest horizon that the
+        type table or the walk affords within the budget, and counts itself
+        in ``capped_searches`` when that is short of m_max.
         """
         if m_max < 1:
             return None
-        if self._chain is None and self._count_arrays(m_max) is None:
-            cap = _max_horizon(self.p.a, self.budget)
+        if self._chain is None and not self._typed(m_max):
+            cap = max(_max_horizon(self.p.a, self.budget), self._reach)
             if m_max > cap:
                 HorizonProfile.capped_searches += 1
                 m_max = cap
@@ -259,29 +241,25 @@ def pair_profile(p: Measure, q: Measure,
 
 # -- public operations --------------------------------------------------------
 
+def _check(m: int, p: Measure, *others: Measure) -> None:
+    if m < 0:
+        raise DomainError("horizon must be >= 0")
+    if any(x.a != p.a for x in others):
+        raise DomainError("measures live on different alphabets")
+
+
 def hellinger_restricted(p: Measure, q: Measure, m: int, method: str = "auto",
                          budget: int = DEFAULT_BUDGET) -> float:
     """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
-    if m < 0:
-        raise DomainError("horizon must be >= 0")
-    if p.a != q.a:
-        raise DomainError("measures live on different alphabets")
-    if m == 0:
-        return 1.0
-    if method == "auto":
-        return pair_profile(p, q, budget).h(m)
-    if method == "dp":
-        return _chain_affinity(p, q)(m)
-    if method == "enumerate":
-        return float(_enum_profiles(p, q, m, budget)[0][m])
-    raise DomainError(f"unknown method {method!r}")
+    if method != "auto" or m <= 0 or p.a != q.a:  # the checks, and m = 0
+        return float(affinity_profile(p, q, m, method, budget)[m])
+    return pair_profile(p, q, budget).h(m)
 
 
 def affinity_profile(p: Measure, q: Measure, max_m: int, method: str = "auto",
                      budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """H_0 .. H_max as an array."""
-    if max_m < 0:
-        raise DomainError("horizon must be >= 0")
+    _check(max_m, p, q)
     if method == "enumerate":
         return _enum_profiles(p, q, max_m, budget)[0]
     if method not in ("auto", "dp"):
@@ -294,15 +272,14 @@ def affinity_profile(p: Measure, q: Measure, max_m: int, method: str = "auto",
 def tv_restricted(p: Measure, q: Measure, m: int,
                   budget: int = DEFAULT_BUDGET) -> float:
     """Total variation of the horizon-m restrictions; in [0, 2]."""
-    if m < 0:
-        raise DomainError("horizon must be >= 0")
-    if p.a != q.a:
-        raise DomainError("measures live on different alphabets")
+    _check(m, p, q)
     return pair_profile(p, q, budget).tv(m)
 
 
 def tv_profile(p: Measure, q: Measure, max_m: int,
                budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """TV_0 .. TV_max as an array."""
+    _check(max_m, p, q)
     engine = pair_profile(p, q, budget)
     return np.array([engine.tv(m) for m in range(max_m + 1)])
 
@@ -318,16 +295,17 @@ def hellinger_tv_bounds(h: float) -> Tuple[float, float]:
 def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
                            budget: int = DEFAULT_BUDGET) -> float:
     """E_F[sqrt(Q(x)/P(x))] over x in Y^m; the mark-to-market primitive."""
-    if m < 0:
-        raise DomainError("horizon must be >= 0")
+    _check(m, f, p, q)
     if m == 0:
         return 1.0
     if all(x.chain_view() is not None for x in (f, p, q)):
         return _ChainDP((f, p, q), lambda ff, fp, fq: ff * np.sqrt(fq / fp)
                         ).up_to(m)
-    v = _count_esr(f, p, q, m)
-    if v is not None:
-        return v
+    types = joint_type((f, p, q))
+    t = None if types is None else type_table(f.a, *types)
+    if t is not None and t.reach(m, budget) == m:
+        lf, lp, lq = (x.type_log_probs(t, m) for x in (f, p, q))
+        return float(np.exp(t.log_mult[t.rows[m]] + lf + 0.5 * (lq - lp)).sum())
     return math.fsum(math.exp(lf + 0.5 * (lq - lp))
                      for x, (lf, lp, lq) in tree_walk((f, p, q), m, budget)
                      if len(x) == m)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from mergebet.errors import CromwellViolation, DomainError
 from mergebet.measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture,
-                               IID, Markov, bernoulli, compositions,
-                               log_multinomial)
+                               IID, Markov, Measure, bernoulli, joint_type,
+                               type_table)
+from mergebet.metrics import DEFAULT_BUDGET
 
 from conftest import random_measure
 
@@ -255,38 +256,74 @@ def test_mixture_survives_long_conditioning():
     assert abs(float(d.sum()) - 1.0) <= 1e-12
 
 
-# -- exchangeable count collapse -----------------------------------------------
+# -- type collapse ----------------------------------------------------------------
 
 
-def test_count_log_probs_matches_enumeration(rng):
+def level_rows(table, m):
+    """The rows of level m, grown if need be."""
+    assert table.reach(m, DEFAULT_BUDGET) == m
+    return table.rows[m]
+
+
+def string_counts(table, x):
+    """The cell counts of string x in ``table``."""
+    a, order, context = table.key
+    index = {c: i for i, c in enumerate(table.contexts)}
+    counts = [0] * (a * len(table.contexts))
+    for i, y in enumerate(x):
+        tail = (context + x[:i])[-order:] if order else ()
+        counts[index[tail] * a + y] += 1
+    return tuple(counts)
+
+
+def test_type_log_probs_match_enumeration(rng):
     import itertools
+    chain = Markov([[0.9, 0.1], [0.3, 0.7]], initial=[0.5, 0.5])
     for make in (lambda: bernoulli(0.35), lambda: BetaLearner([0.5, 2.0]),
                  lambda: FiniteMixture([0.4, 0.6],
-                                       [bernoulli(0.2), bernoulli(0.7)])):
+                                       [bernoulli(0.2), bernoulli(0.7)]),
+                 lambda: chain.condition((1,)),
+                 lambda: FiniteMixture([0.4, 0.6], [
+                     chain, Markov(np.full((2, 2, 2), 0.5))])):
         p = make()
         m = 5
-        comps = compositions(m, 2)
-        lp = p.count_log_probs(m)
-        assert lp is not None
-        for row, logp in zip(comps, lp):
-            # every string with these counts has the same probability
-            c0 = int(row[0])
-            x = tuple([0] * c0 + [1] * (m - c0))
+        table = type_table(p.a, *p.type_key())
+        level = level_rows(table, m)
+        lp = p.type_log_probs(table, m)
+        row = {tuple(int(c) for c in table.counts[i]): i - level.start
+               for i in range(level.start, level.stop)}
+        for x in itertools.product(range(p.a), repeat=m):
+            # every string of one type has the same probability
+            logp = lp[row[string_counts(table, x)]]
             assert logp == pytest.approx(p.cylinder_log_prob(x), abs=1e-10)
-        # total mass check through the multinomial coefficients
-        total = float(np.exp(log_multinomial(m, 2) + lp).sum())
+        # total mass check through the multiplicities
+        total = float(np.exp(table.log_mult[level] + lp).sum())
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_log_multinomial_is_the_log_of_the_exact_count():
+    # the order-0 table: the count vectors of m in lexicographic order, and
+    # the log multinomial of each, as log m! less the log factorials of the
+    # counts, bit for bit as the count route had it (the singular-pair
+    # benchmark check passes on that rounding)
+    import itertools
     for m, a in ((40, 2), (12, 3), (300, 2)):
+        log_fact = [math.log(math.factorial(k)) for k in range(m + 1)]
+        table = type_table(a, 0, ())
+        level = level_rows(table, m)
+        rows = table.counts[level].astype(int).tolist()
+        assert rows == [list(c) for c in itertools.product(range(m + 1),
+                                                           repeat=a)
+                        if sum(c) == m]
         # log m! minus the log factorials of the counts: a few ulps of log m!
         tol = 4 * math.ulp(math.log(math.factorial(m)))
-        for row, v in zip(compositions(m, a), log_multinomial(m, a)):
+        for row, v, k in zip(rows, table.log_mult[level], table.mult[level]):
             count = math.factorial(m)
             for c in row:
                 count //= math.factorial(int(c))
+            assert k == count
             assert abs(v - math.log(count)) <= tol
+            assert v == log_fact[m] - sum(log_fact[int(c)] for c in row)
 
 
 def test_beta_count_route_exact_at_ten_thousand_counts():
@@ -300,7 +337,9 @@ def test_beta_count_route_exact_at_ten_thousand_counts():
                  np.random.default_rng(3).integers(0, 2, size=10_000))
     n1 = sum(path)
     m = 8
-    comps = [(int(c0), int(c1)) for c0, c1 in compositions(m, 2)]
+    table = type_table(2, 0, ())
+    level = level_rows(table, m)
+    comps = [(int(c0), int(c1)) for c0, c1 in table.counts[level]]
 
     def urn(prior):  # exact probability of one string per count vector
         a0, a1 = Fraction(prior[0]) + len(path) - n1, Fraction(prior[1]) + n1
@@ -319,7 +358,7 @@ def test_beta_count_route_exact_at_ten_thousand_counts():
                 for pr in priors]
     exact = [urn(pr) for pr in priors]
     for b, ps in zip(learners, exact):
-        for lp, p in zip(b.count_log_probs(m), ps):
+        for lp, p in zip(b.type_log_probs(table, m), ps):
             assert abs(math.exp(lp) / float(p) - 1.0) <= 1e-13
     with localcontext() as ctx:
         ctx.prec = 40
@@ -335,11 +374,27 @@ def test_beta_count_route_exact_at_ten_thousand_counts():
         assert abs(Decimal(tv_restricted(*learners, m)) - tv) <= 1e-13
 
 
-def test_exchangeable_flags():
-    assert bernoulli(0.4).exchangeable
-    assert BetaLearner([1.0, 1.0]).exchangeable
-    assert FiniteMixture([0.5, 0.5], [bernoulli(0.3), bernoulli(0.6)]).exchangeable
-    assert not Markov([[0.9, 0.1], [0.3, 0.7]], initial=[0.5, 0.5]).exchangeable
+def test_type_keys():
+    assert bernoulli(0.4).type_key() == (0, ())
+    assert BetaLearner([1.0, 1.0]).type_key() == (0, ())
+    assert FiniteMixture([0.5, 0.5],
+                         [bernoulli(0.3), bernoulli(0.6)]).type_key() == (0, ())
+    chain = Markov([[0.9, 0.1], [0.3, 0.7]], initial=[0.5, 0.5])
+    assert chain.type_key() == (1, ())
+    order2 = Markov(np.full((2, 2, 2), 0.5))
+    mix = FiniteMixture([0.4, 0.3, 0.3],
+                        [chain, order2, BetaLearner([1.0, 1.0])])
+    assert mix.condition((0, 1)).type_key() == (2, (0, 1))
+    assert mix.condition((1,)).type_key() == (2, (1,))  # the order-2 ramp
+    # contexts that do not end alike, and a measure with no type
+    assert joint_type([chain.condition((1,)), order2.condition((1, 0))]) is None
+    assert Conditioned(BetaLearner([1.0, 1.0]), (1,)).type_key() is None
+
+    class Untyped(Measure):
+        def one_step(self, history):
+            return np.array([0.5, 0.5])
+
+    assert Untyped(Alphabet(2)).type_key() is None
 
 
 # -- hypothesis properties -------------------------------------------------

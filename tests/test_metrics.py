@@ -8,7 +8,8 @@ import pytest
 from mergebet import metrics
 from mergebet.errors import BudgetExceeded, DomainError, MethodUnsupported
 from mergebet.measures import (BetaLearner, Conditioned, FiniteMixture, IID,
-                               Markov, bernoulli)
+                               Markov, Measure, bernoulli, joint_type,
+                               type_table)
 from mergebet.metrics import (DEFAULT_BUDGET, ENGINE_CACHE_SIZE,
                               HorizonProfile, _enum_profiles, affinity_profile,
                               expectation_sqrt_ratio, hellinger_restricted,
@@ -115,11 +116,22 @@ def test_negative_horizon():
         hellinger_restricted(bernoulli(0.4), bernoulli(0.6), -1)
     with pytest.raises(DomainError):
         tv_restricted(bernoulli(0.4), bernoulli(0.6), -1)
+    p = bernoulli(0.4)
+    with pytest.raises(DomainError):
+        tv_profile(p, p, -1)
 
 
 def test_alphabet_mismatch():
+    p, q = bernoulli(0.4), IID([0.3, 0.3, 0.4])
     with pytest.raises(DomainError):
-        hellinger_restricted(bernoulli(0.4), IID([0.3, 0.3, 0.4]), 2)
+        hellinger_restricted(p, q, 2)
+    with pytest.raises(DomainError):
+        affinity_profile(p, q, 2)
+    with pytest.raises(DomainError):
+        tv_profile(p, q, 2)
+    for f, a, b in ((p, p, q), (p, q, p), (q, p, p)):
+        with pytest.raises(DomainError):
+            expectation_sqrt_ratio(f, a, b, 2)
 
 
 # -- monotonicity and sandwich -------------------------------------------------
@@ -208,12 +220,24 @@ def test_find_below_short_circuit():
     assert prof.find_below(0.5, 64) is None
 
 
+class Untyped(Measure):
+    """A user measure with no chain view and no type: only the walk fits."""
+
+    def __init__(self, inner: Measure):
+        super().__init__(inner.alphabet)
+        self.inner = inner
+
+    def one_step(self, history):
+        return self.inner.one_step(history)
+
+
 def test_find_below_searches_every_horizon_the_budget_affords():
     uniform = Markov(np.full((3, 3), 1 / 3), initial=np.full(3, 1 / 3))
     sticky = Markov(np.full((3, 3), 0.25) + 0.25 * np.eye(3),
                     initial=np.full(3, 1 / 3))
-    p = FiniteMixture([0.5, 0.5], [uniform, sticky])
-    q = FiniteMixture([0.9, 0.1], [uniform, sticky])
+    mixes = (FiniteMixture([0.5, 0.5], [uniform, sticky]),
+             FiniteMixture([0.9, 0.1], [uniform, sticky]))
+    p, q = (Untyped(x) for x in mixes)
     budget = 3 ** 5  # affords m = 5 exactly
     hellinger_restricted(p, q, 5, method="enumerate", budget=budget)
     with pytest.raises(BudgetExceeded):
@@ -224,6 +248,9 @@ def test_find_below_searches_every_horizon_the_budget_affords():
     assert engine.find_below(threshold, 8) == 5
     assert HorizonProfile.capped_searches == capped + 1
     assert HorizonProfile(p, q, budget).find_below(threshold, 5) == 5
+    # the mixtures themselves have a type, whose table this budget affords
+    # only to m = 4; the walk serves m = 5
+    assert HorizonProfile(*mixes, budget).find_below(threshold, 8) == 5
 
 
 # -- the pair engine ------------------------------------------------------------
@@ -307,9 +334,10 @@ def test_engine_cache_keeps_its_measures_alive():
 
 def test_reversed_pair_reads_the_same_engine(rng):
     pairs = {"chain": (random_markov(rng), random_markov(rng, order=2)),
-             "count": (random_beta(rng), random_mixture(rng)),
-             "enumerate": (mixture_of_chains(rng, 2, 1, 2),
-                           mixture_of_chains(rng, 2, 2, 3))}
+             "order-0 types": (random_beta(rng), random_mixture(rng)),
+             "order-2 types": (mixture_of_chains(rng, 2, 1, 2),
+                               mixture_of_chains(rng, 2, 2, 3)),
+             "walk": (Untyped(random_beta(rng)), random_mixture(rng))}
     for route, (p, q) in pairs.items():
         assert pair_profile(q, p) is pair_profile(p, q), route
         forward, backward = HorizonProfile(p, q), HorizonProfile(q, p)
@@ -327,7 +355,8 @@ def mixture_of_chains(rng, a, order, k):
 
 
 def walk_mixtures(rng):
-    """Mixtures that no fast route serves, so the engine walks their tree."""
+    """Mixtures of chains, nested and with a learner, for the walk's tests;
+    the engine takes the type route on all but the last."""
     out = [mixture_of_chains(rng, a, int(rng.integers(1, 3)),
                              int(rng.integers(2, 4)))
            for a in (2, 2, 2, 3) for _ in range(2)]
@@ -344,12 +373,13 @@ def test_enumeration_walk_matches_oracle_on_mixtures(rng):
     for p, q in pairs:
         assert p.a == q.a
         hs, tvs = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+        engine = HorizonProfile(p, q)  # the type route, or the walk
         for m in range(9):
             h, tv, _ = oracle_metrics(p, q, m)
             assert abs(hs[m] - h) <= 1e-12
             assert abs(tvs[m] - tv) <= 1e-12
-        engine = HorizonProfile(p, q)
-        assert engine.h(8) == hs[8] and engine.tv(8) == tvs[8]
+            assert abs(engine.h(m) - h) <= 1e-12
+            assert abs(engine.tv(m) - tv) <= 1e-12
 
 
 def test_enumeration_sums_fold_without_losing_accuracy(monkeypatch, rng):
@@ -413,3 +443,102 @@ def test_horizon_distribution_normalizes(rng):
 def test_horizon_distribution_budget():
     with pytest.raises(BudgetExceeded):
         horizon_distribution(bernoulli(0.5), 30, budget=2 ** 10)
+
+
+# -- the type route ---------------------------------------------------------------
+
+
+def typed_mixture(rng, a):
+    """A mixture of chains of order <= 2 with, at random, i.i.d. and Beta
+    components."""
+    comps = [random_markov(rng, a, int(rng.integers(1, 3)))
+             for _ in range(int(rng.integers(1, 3)))]
+    comps += [random_iid(rng, a), random_beta(rng, a)][:int(rng.integers(0, 3))]
+    return FiniteMixture(random_simplex(rng, len(comps), lo=0.05), comps)
+
+
+def typed_triples(rng, a, count):
+    """Triples conditioned on one history of length 0 to 3, so that a chain
+    of order 2 may still be in its initial ramp."""
+    for _ in range(count):
+        h = tuple(int(y) for y in rng.integers(0, a, size=rng.integers(0, 4)))
+        yield tuple(typed_mixture(rng, a).condition(h) for _ in range(3))
+
+
+def check_type_route(p, q, f, top):
+    assert joint_type((p, q, f)) is not None
+    engine = HorizonProfile(p, q)
+    for m in range(top + 1):
+        h, tv, _ = oracle_metrics(p, q, m)
+        assert abs(engine.h(m) - h) <= 1e-12
+        assert abs(engine.tv(m) - tv) <= 1e-12
+        walk = math.fsum(math.exp(lf + 0.5 * (lq - lp)) for x, (lf, lp, lq)
+                         in tree_walk((f, p, q), m) if len(x) == m)
+        assert abs(expectation_sqrt_ratio(f, p, q, m) - walk) <= 1e-12
+
+
+def test_type_route_matches_oracle(rng):
+    # every kind of component, an order-2 chain in its ramp: to m = 12
+    kinds = ((random_markov(rng, 2, 2), random_beta(rng)),
+             (random_markov(rng, 2, 1), random_iid(rng)),
+             (random_markov(rng, 2, 2), random_markov(rng, 2, 1)))
+    check_type_route(*(FiniteMixture([0.3, 0.7], c).condition((1,))
+                       for c in kinds), 12)
+    # the brute-force oracle costs a^m m^2 one-step laws, so the random
+    # triples stop at m = 9 on two symbols and m = 6 on three
+    for a, top in ((2, 9), (3, 6)):
+        for p, q, f in typed_triples(rng, a, 4):
+            check_type_route(p, q, f, top)
+
+
+def _strings_of_binary_order1_type(row) -> int:
+    """Strings with this (first symbol, transition counts): the ways to cut
+    the zeros and the ones into their runs (a run count of 0 fits only an
+    empty symbol)."""
+    s0, s1, n00, n01, n10, n11 = (int(c) for c in row)
+    zeros, ones = s0 + n00 + n10, s1 + n01 + n11
+    runs0, runs1 = (n10 + 1, n01) if s0 else (n10, n01 + 1)
+
+    def cuts(n, r):
+        return math.comb(n - 1, r - 1) if r else int(n == 0)
+
+    return cuts(zeros, runs0) * cuts(ones, runs1)
+
+
+def test_type_tables_count_every_string_exactly():
+    for a, order, context, top in ((2, 0, (), 40), (3, 0, (), 12),
+                                   (2, 1, (), 64), (2, 2, (1,), 16),
+                                   (3, 1, (2,), 10), (3, 2, (), 7)):
+        t = type_table(a, order, context)
+        assert t.reach(top, DEFAULT_BUDGET) == top
+        for m in range(top + 1):
+            level = t.rows[m]
+            assert sum(t.mult[level]) == a ** m, (a, order, context, m)
+            assert np.all(t.counts[level].sum(axis=1) == m)
+    # binary order 1 at m = 64: counts pass 2^53, where a float multiplicity
+    # rounds; the log is the log of the exact integer
+    t = type_table(2, 1, ())
+    assert [tuple(c) for c in t.contexts] == [(), (0,), (1,)]
+    exact = [_strings_of_binary_order1_type(row) for row in t.counts[t.rows[64]]]
+    assert max(exact) > 2 ** 53
+    assert t.mult[t.rows[64]] == exact
+    assert t.log_mult[t.rows[64]].tolist() == [math.log(k) for k in exact]
+
+
+def test_markov_mix_pair_searches_to_m_max_64_uncapped():
+    chains = [{"family": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
+              {"family": "markov", "transition": [[0.4, 0.6], [0.6, 0.4]]}]
+
+    def mix(w):
+        return {"kind": "coherent", "measure": {
+            "family": "mixture", "weights": w, "components": chains}}
+
+    cfg = ExperimentConfig.from_dict({
+        "alphabet_size": 2, "T": 24, "seed": 16, "m_report": 6,
+        "forecaster_I": mix([0.5, 0.5]), "forecaster_II": mix([0.9, 0.1]),
+        "reality": {"kind": "sample", "measure": chains[0]},
+        "sceptic": {"J": 8, "M_max": 64, "lim_wrap": False}})
+    capped = HorizonProfile.capped_searches
+    trace = run_experiment(cfg)
+    assert HorizonProfile.capped_searches == capped
+    assert sum(trace.component_bets) > 0
