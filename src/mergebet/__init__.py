@@ -17,12 +17,11 @@ from .metrics import (DEFAULT_BUDGET, HorizonProfile, affinity_profile,
                       tv_restricted)
 from .protocol import (BetOrder, ForecastPair, HedgeLeg, Portfolio,
                        ProtocolState, order_cost)
-from .scenarios import (ForecasterSpec, RealitySpec, SingularPairSpec, catalog,
-                        default_singular_pair, make_forecaster, make_reality,
-                        singular_pair)
+from .scenarios import (ForecasterSpec, RealitySpec, catalog, make_forecaster,
+                        make_reality)
 from .strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
                        LimWrappedSceptic, MixtureSceptic, build_hedge,
-                       build_hedge_leg, find_horizon, wrap_capital_path)
+                       find_horizon, wrap_capital_path)
 from .harness import (ExperimentConfig, Trace, incremental_capitals,
                       oracle_expect_capital, oracle_metrics, play,
                       run_experiment, run_on_path, summarize)

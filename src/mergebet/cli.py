@@ -29,10 +29,6 @@ def cli():
     """Simulator of the two-forecaster betting protocol."""
 
 
-def _load(config: str) -> ExperimentConfig:
-    return ExperimentConfig.load(config)
-
-
 @cli.command()
 @click.option("--config", required=True,
               help="Path to a JSON config, or a shipped scenario name.")
@@ -40,7 +36,7 @@ def _load(config: str) -> ExperimentConfig:
               help="Output directory for trace.csv and summary.json.")
 def run(config, out):
     """Run one experiment and write its trace and summary."""
-    cfg = _load(config)
+    cfg = ExperimentConfig.load(config)
     trace = run_experiment(cfg)
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -58,7 +54,7 @@ def run(config, out):
 @click.option("--out", required=True, type=click.Path())
 def sweep(config, seeds, out):
     """Run one experiment per seed; one trace file per run."""
-    cfg = _load(config)
+    cfg = ExperimentConfig.load(config)
     try:
         lo, hi = (int(s) for s in seeds.split(".."))
     except ValueError:
@@ -81,7 +77,7 @@ def sweep(config, seeds, out):
 @click.option("--config", required=True)
 def oracle(check, config):
     """Run a brute-force consistency check against the given config."""
-    cfg = _load(config)
+    cfg = ExperimentConfig.load(config)
     if check == "martingale":
         ok = True
         for side in ("I", "II"):

@@ -54,8 +54,6 @@ def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
             m = Conditioned(base, tuple(spec["prefix"]))
         else:
             raise ConfigError(f"{where}: unknown measure family {fam!r}")
-    except ConfigError:
-        raise
     except KeyError as e:
         raise ConfigError(f"{where}: missing field {e.args[0]!r}") from e
     except (TypeError, ValueError) as e:
@@ -120,7 +118,6 @@ class ExperimentConfig:
     lim_wrap: bool = False
     m_report: int = 8
     seed: int = 0
-    out: Optional[str] = None
     budget: int = DEFAULT_BUDGET
     raw: dict = field(default_factory=dict)
 
@@ -158,7 +155,6 @@ class ExperimentConfig:
             lim_wrap=bool(sceptic.get("lim_wrap", False)),
             m_report=m_report,
             seed=int(d.get("seed", 0)),
-            out=d.get("out"),
             budget=budget,
             raw=d,
         )

@@ -130,9 +130,6 @@ class Portfolio:
     contracts: Dict[String, float] = field(default_factory=dict)
     legs: List[Position] = field(default_factory=list)
 
-    def marked_value(self, forecast: Measure, budget: int = DEFAULT_BUDGET) -> float:
-        return order_cost(BetOrder(self.contracts, self.legs), forecast, budget)
-
 
 class ProtocolState:
     """Sequential protocol run: step counter, history, per-side books.
@@ -211,7 +208,8 @@ class ProtocolState:
         if side not in SIDES:
             raise DomainError(f"unknown side {side!r}")
         pf = self.portfolios[side]
-        return pf.cash + pf.marked_value(self.forecasts.side(side), self.budget)
+        return pf.cash + order_cost(BetOrder(pf.contracts, pf.legs),
+                                    self.forecasts.side(side), self.budget)
 
     def log2_capital(self, side: str) -> float:
         return math.log2(max(self.capital(side), 1e-300))

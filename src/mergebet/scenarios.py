@@ -4,21 +4,22 @@ A coherent forecaster announces the conditional of one fixed measure on the
 observed history; a scripted forecaster announces a listed measure each step
 (cycling through the list), which deliberately allows incoherence. Reality
 can sample from a measure, replay a fixed string, or switch generating law
-at a given step. ``singular_pair`` builds the near-singular forecast pair:
-two mixtures sharing a common base, each carrying weight delta on its own
-disjoint-support component, so every finite-horizon conditional stays in
-(0, 1) while the affinity floor 1 - H_m <= 2 * delta holds at all horizons.
+at a given step. The catalog's ``singular-pair`` is the near-singular
+forecast pair: two mixtures sharing a common base, each carrying weight delta
+on its own disjoint-leaning component, so every finite-horizon conditional
+stays in (0, 1) while the affinity floor 1 - H_m <= 2 * delta holds at all
+horizons.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .measures import Alphabet, FiniteMixture, IID, Measure, String, bernoulli
+from .measures import Measure, String
 
 
 # -- forecasters -------------------------------------------------------------
@@ -82,8 +83,6 @@ def make_forecaster(spec: ForecasterSpec):
             raise DomainError("coherent forecaster needs a measure")
         return CoherentForecaster(spec.measure)
     if spec.kind == "scripted":
-        if not spec.measures:
-            raise DomainError("scripted forecaster needs measures")
         return ScriptedForecaster(spec.measures)
     raise DomainError(f"unknown forecaster kind {spec.kind!r}")
 
@@ -159,37 +158,6 @@ def make_reality(spec: RealitySpec, default_seed=None):
             raise DomainError("switch_at reality needs step, before, after")
         return SwitchingReality(spec.step, spec.before, spec.after, seed)
     raise DomainError(f"unknown reality kind {spec.kind!r}")
-
-
-# -- the near-singular forecast pair ------------------------------------------
-
-@dataclass
-class SingularPairSpec:
-    """Common base R plus two disjoint-leaning carrier measures, weight delta."""
-
-    base: Measure
-    carrier_i: Measure
-    carrier_ii: Measure
-    delta: float = 1e-6
-
-
-def singular_pair(spec: SingularPairSpec) -> Tuple[Measure, Measure]:
-    """Forecast pair (1-delta) R + delta S_side; Cromwell-valid throughout."""
-    if not 0.0 <= spec.delta < 1.0:
-        raise DomainError("delta must lie in [0, 1)")
-    if spec.delta == 0.0:
-        return spec.base, spec.base
-    p_i = FiniteMixture([1.0 - spec.delta, spec.delta],
-                        [spec.base, spec.carrier_i])
-    p_ii = FiniteMixture([1.0 - spec.delta, spec.delta],
-                         [spec.base, spec.carrier_ii])
-    return p_i, p_ii
-
-
-def default_singular_pair(delta: float = 1e-6) -> Tuple[Measure, Measure]:
-    """Fair-coin base with heavily skewed Bernoulli carriers."""
-    return singular_pair(SingularPairSpec(
-        bernoulli(0.5), bernoulli(1e-3), bernoulli(1.0 - 1e-3), delta))
 
 
 # -- shipped catalog (config form; see harness for the schema) -----------------

@@ -50,22 +50,16 @@ def find_horizon(p: Measure, q: Measure, epsilon: float, m_max: int,
     return pair_profile(p, q, budget).find_below(1.0 - epsilon, m_max)
 
 
-def build_hedge_leg(p_own: Measure, p_other: Measure, m: int, k: float,
-                    budget: int = DEFAULT_BUDGET) -> HedgeLeg:
-    """Symbolic hedge staking k * sqrt(other/own)/H_m on each x in Y^m."""
-    if k < 0:
-        raise DomainError("capital must be nonnegative")
-    h = hellinger_restricted(p_own, p_other, m, budget=budget)
-    return HedgeLeg(k / h, p_own, p_other, m)
-
-
 def build_hedge(p_own: Measure, p_other: Measure, m: int, k: float,
                 budget: int = DEFAULT_BUDGET) -> BetOrder:
     """Explicit form of the hedge: stakes on every string of length m.
 
     Costs exactly k at the own forecast's prices and pays
-    k * sqrt(other(x*)/own(x*))/H_m on the realized block x*.
+    k * sqrt(other(x*)/own(x*))/H_m on the realized block x*. Its symbolic
+    form, which the Sceptic books, is ``HedgeLeg(k / H_m, own, other, m)``.
     """
+    if k < 0:
+        raise DomainError("capital must be nonnegative")
     h = hellinger_restricted(p_own, p_other, m, budget=budget)
     return BetOrder({x: k * math.exp(0.5 * (lq - lp)) / h for x, (lp, lq)
                      in tree_walk((p_own, p_other), m, budget) if len(x) == m})

@@ -1,18 +1,19 @@
 """Forecaster/Reality behaviors and the shipped scenario catalog."""
 
 import math
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 import pytest
 
 from mergebet.errors import DomainError
-from mergebet.measures import BetaLearner, FiniteMixture, IID, Markov, bernoulli
+from mergebet.measures import (BetaLearner, FiniteMixture, IID, Markov, Measure,
+                               bernoulli)
 from mergebet.metrics import hellinger_restricted
 from mergebet.scenarios import (CoherentForecaster, ForecasterSpec,
-                                RealitySpec, SampledReality,
-                                SingularPairSpec, SwitchingReality, _draw,
-                                catalog, default_singular_pair, make_forecaster,
-                                make_reality, singular_pair)
+                                RealitySpec, SampledReality, SwitchingReality,
+                                _draw, catalog, make_forecaster, make_reality)
 
 
 # -- forecasters ---------------------------------------------------------------
@@ -192,6 +193,37 @@ def test_reality_spec_validation():
 
 
 # -- singular pair -------------------------------------------------------------
+# the catalog's singular-pair as measures: two mixtures sharing a common base,
+# each with weight delta on its own disjoint-leaning carrier
+
+@dataclass
+class SingularPairSpec:
+    """Common base R plus two disjoint-leaning carrier measures, weight delta."""
+
+    base: Measure
+    carrier_i: Measure
+    carrier_ii: Measure
+    delta: float = 1e-6
+
+
+def singular_pair(spec: SingularPairSpec) -> Tuple[Measure, Measure]:
+    """Forecast pair (1-delta) R + delta S_side; Cromwell-valid throughout."""
+    if not 0.0 <= spec.delta < 1.0:
+        raise DomainError("delta must lie in [0, 1)")
+    if spec.delta == 0.0:
+        return spec.base, spec.base
+    p_i = FiniteMixture([1.0 - spec.delta, spec.delta],
+                        [spec.base, spec.carrier_i])
+    p_ii = FiniteMixture([1.0 - spec.delta, spec.delta],
+                         [spec.base, spec.carrier_ii])
+    return p_i, p_ii
+
+
+def default_singular_pair(delta: float = 1e-6) -> Tuple[Measure, Measure]:
+    """Fair-coin base with heavily skewed Bernoulli carriers."""
+    return singular_pair(SingularPairSpec(
+        bernoulli(0.5), bernoulli(1e-3), bernoulli(1.0 - 1e-3), delta))
+
 
 
 def test_singular_pair_zero_delta_degenerates():

@@ -9,11 +9,11 @@ from mergebet.errors import BudgetExceeded, DomainError
 from mergebet.harness import play
 from mergebet.measures import bernoulli
 from mergebet.metrics import hellinger_restricted
-from mergebet.protocol import BetOrder, ForecastPair, order_cost
+from mergebet.protocol import BetOrder, ForecastPair, HedgeLeg, order_cost
 from mergebet.scenarios import CoherentForecaster, ScriptedReality
 from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
-                               MixtureSceptic, build_hedge, build_hedge_leg,
-                               find_horizon, wrap_capital_path)
+                               MixtureSceptic, build_hedge, find_horizon,
+                               wrap_capital_path)
 
 from conftest import random_measure
 
@@ -128,7 +128,7 @@ def test_hedge_cost_identity_random(rng):
 
 def test_hedge_rejects_negative_capital():
     with pytest.raises(DomainError):
-        build_hedge_leg(P04, P06, 1, -1.0)
+        build_hedge(P04, P06, 1, -1.0)
 
 
 def test_hedge_budget():
@@ -137,7 +137,7 @@ def test_hedge_budget():
 
 
 def test_hedge_leg_matches_explicit_value():
-    leg = build_hedge_leg(P04, P06, 5, 2.0)
+    leg = HedgeLeg(2.0 / hellinger_restricted(P04, P06, 5), P04, P06, 5)
     explicit = build_hedge(P04, P06, 5, 2.0)
     assert leg.value() == pytest.approx(order_cost(explicit, P04), abs=1e-12)
 
