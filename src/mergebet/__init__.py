@@ -8,13 +8,11 @@ strategy, and verifies the finite-horizon surrogates of that disjunction.
 """
 
 from .errors import (BudgetExceeded, ConfigError, CromwellViolation, DomainError,
-                     MergebetError, MethodUnsupported, PhaseError)
+                     MergebetError, PhaseError)
 from .measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture, IID,
                        Markov, Measure, bernoulli)
-from .metrics import (DEFAULT_BUDGET, HorizonProfile, affinity_profile,
-                      expectation_sqrt_ratio, hellinger_restricted,
-                      hellinger_tv_bounds, horizon_distribution, tv_profile,
-                      tv_restricted)
+from .metrics import (DEFAULT_BUDGET, HorizonProfile, expectation_sqrt_ratio,
+                      hellinger_restricted, hellinger_tv_bounds, tv_restricted)
 from .protocol import (BetOrder, ForecastPair, HedgeLeg, Portfolio,
                        ProtocolState, order_cost)
 from .scenarios import (ForecasterSpec, RealitySpec, catalog, make_forecaster,

@@ -21,10 +21,6 @@ class BudgetExceeded(MergebetError):
     """An exact enumeration would exceed the configured term budget."""
 
 
-class MethodUnsupported(MergebetError):
-    """The requested computation method does not apply to these model families."""
-
-
 class PhaseError(MergebetError):
     """A protocol move was attempted out of phase."""
 

@@ -30,6 +30,24 @@ TRACE_HEADER = "n,y,h_m,tv_m,log2_k1,log2_k2,log2_geomean,components_active,bet_
 
 # -- config parsing ------------------------------------------------------------
 
+def _integer(v, where: str, lo: int) -> int:
+    """A config integer >= lo; a float or a string is refused, not truncated."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+        raise ConfigError(f"{where}: need an integer >= {lo}, got {v!r}")
+    return v
+
+
+def _symbols(s, alphabet_size: int, where: str) -> list:
+    """A config's list of symbols, each an integer of the alphabet."""
+    if not isinstance(s, list):
+        raise ConfigError(f"{where}: need a list of symbols")
+    for v in s:
+        if isinstance(v, bool) or not isinstance(v, int) \
+                or not 0 <= v < alphabet_size:
+            raise ConfigError(f"{where}: invalid symbol {v!r}")
+    return s
+
+
 def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
                       ) -> Measure:
     """Build a measure from its JSON-schema dict."""
@@ -51,7 +69,8 @@ def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
             m = FiniteMixture(spec["weights"], comps)
         elif fam == "conditioned":
             base = measure_from_spec(spec["base"], alphabet_size, f"{where}.base")
-            m = Conditioned(base, tuple(spec["prefix"]))
+            m = Conditioned(base, _symbols(spec["prefix"], alphabet_size,
+                                           f"{where}.prefix"))
         else:
             raise ConfigError(f"{where}: unknown measure family {fam!r}")
     except KeyError as e:
@@ -83,26 +102,23 @@ def _reality_spec(d: dict, alphabet_size: int, where: str) -> RealitySpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = d["kind"]
+    seed = d.get("seed")
+    if seed is not None:
+        _integer(seed, f"{where}.seed", 0)
     if kind == "sample":
         return RealitySpec("sample", measure=measure_from_spec(
-            d.get("measure"), alphabet_size, f"{where}.measure"),
-            seed=d.get("seed"))
+            d.get("measure"), alphabet_size, f"{where}.measure"), seed=seed)
     if kind == "scripted":
-        s = d.get("string")
-        if not isinstance(s, list):
-            raise ConfigError(f"{where}.string: need a list of symbols")
-        for v in s:
-            if not isinstance(v, int) or not 0 <= v < alphabet_size:
-                raise ConfigError(f"{where}.string: invalid symbol {v!r}")
-        return RealitySpec("scripted", string=s)
+        return RealitySpec("scripted", string=_symbols(
+            d.get("string"), alphabet_size, f"{where}.string"))
     if kind == "switch_at":
         return RealitySpec(
-            "switch_at", step=int(d["step"]),
+            "switch_at", step=_integer(d.get("step"), f"{where}.step", 0),
             before=measure_from_spec(d.get("before"), alphabet_size,
                                      f"{where}.before"),
             after=measure_from_spec(d.get("after"), alphabet_size,
                                     f"{where}.after"),
-            seed=d.get("seed"))
+            seed=seed)
     raise ConfigError(f"{where}.kind: unknown reality kind {kind!r}")
 
 
@@ -125,44 +141,32 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config root must be an object")
-        try:
-            a = int(d["alphabet_size"])
-            t = int(d["T"])
-        except KeyError as e:
-            raise ConfigError(f"missing field {e.args[0]!r}") from e
-        except (TypeError, ValueError) as e:
-            raise ConfigError(str(e)) from e
-        if a < 1:
-            raise ConfigError("alphabet_size: must be >= 1")
-        if t < 0:
-            raise ConfigError("T: must be >= 0")
+        for key in ("alphabet_size", "T"):
+            if key not in d:
+                raise ConfigError(f"missing field {key!r}")
+        a = _integer(d["alphabet_size"], "alphabet_size", 1)
         sceptic = d.get("sceptic", {})
         if not isinstance(sceptic, dict):
             raise ConfigError("sceptic: must be an object")
-        budget = int(d.get("budget", DEFAULT_BUDGET))
-        m_report = int(d.get("m_report", 8))
-        if a ** m_report > budget:
-            raise ConfigError(f"m_report: {a}^{m_report} exceeds the "
-                              f"enumeration budget {budget}")
-        cfg = ExperimentConfig(
-            alphabet_size=a, t=t,
+        lim_wrap = sceptic.get("lim_wrap", False)
+        if not isinstance(lim_wrap, bool):  # bool("false") is True
+            raise ConfigError(f"sceptic.lim_wrap: need a boolean, got {lim_wrap!r}")
+        # an m_report past the walk's budget is no error here: the chain and
+        # type routes serve it, and an untyped pair raises BudgetExceeded
+        return ExperimentConfig(
+            alphabet_size=a, t=_integer(d["T"], "T", 0),
             forecaster_i=_forecaster_spec(d.get("forecaster_I"), a, "forecaster_I"),
             forecaster_ii=_forecaster_spec(d.get("forecaster_II"), a,
                                            "forecaster_II"),
             reality=_reality_spec(d.get("reality"), a, "reality"),
-            j_max=int(sceptic.get("J", 20)),
-            m_max=int(sceptic.get("M_max", 64)),
-            lim_wrap=bool(sceptic.get("lim_wrap", False)),
-            m_report=m_report,
-            seed=int(d.get("seed", 0)),
-            budget=budget,
+            j_max=_integer(sceptic.get("J", 20), "sceptic.J", 1),
+            m_max=_integer(sceptic.get("M_max", 64), "sceptic.M_max", 1),
+            lim_wrap=lim_wrap,
+            m_report=_integer(d.get("m_report", 8), "m_report", 0),
+            seed=_integer(d.get("seed", 0), "seed", 0),
+            budget=_integer(d.get("budget", DEFAULT_BUDGET), "budget", 1),
             raw=d,
         )
-        if cfg.j_max < 1:
-            raise ConfigError("sceptic.J: must be >= 1")
-        if cfg.m_max < 1:
-            raise ConfigError("sceptic.M_max: must be >= 1")
-        return cfg
 
     def forecasters(self) -> Tuple[object, object]:
         """Fresh forecasters I and II for one game."""

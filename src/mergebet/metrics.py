@@ -1,39 +1,32 @@
 """Horizon-m Hellinger affinity and total variation between measures.
 
-``HorizonProfile`` is the metrics engine of one ordered pair. It picks the
-pair's route once and memoises what it computes:
+Every sum over Y^m here (H_m, TV_m and E_F[sqrt(Q/P)]) takes the first of
+three routes that fits its measures, and is picked in this module alone:
 
-  * chain -- both measures have a bounded-memory chain view: H_m by
-             joint-context dynamic programming, or rho**m in closed form
-             when both are memoryless (TV_m takes the next route that fits).
-  * type  -- the pair has a joint type: a sum over Y^m collapses onto the
-             types of level m of a cached ``measures.TypeTable``, weighted by
-             their exact multiplicities; order 0 (i.i.d., Beta learners and
-             their mixtures) sums as the old count route did, bit for bit.
-  * walk  -- otherwise, or beyond the type table's budget, one depth-first
-             walk of the outcome tree fills H and TV up to the deepest horizon
-             asked for; refused beyond a budget. ``tree_walk`` steps each
-             measure with ``Measure.child``; the oracles do not use it.
+  * chain -- each has a bounded-memory chain view (``_chain``): a joint-
+             context dynamic program; rho**m for H_m of two memoryless ones.
+  * type  -- they have a joint type whose cached ``TypeTable`` the budget
+             affords to level m (``_type_levels``): a sum over the level's
+             types, weighted by their exact multiplicities.
+  * walk  -- else one depth-first walk of the outcome tree (``_walk_sums``)
+             fills every level up to m; refused beyond a budget.
 
-Measures are immutable, so ``pair_profile`` finds the engines of the last few
-pairs again by the identity of the two measures, in either order: when
-announcements repeat (``IID.condition`` returns ``self``), a pair's report
-rows, horizon searches and both legs' marks read one engine. The public
-operations wrap it; ``method="dp"`` or ``"enumerate"`` runs that route alone.
-H_m falls and TV_m rises with m.
+``HorizonProfile``, the engine of one pair, memoises H_m and TV_m (TV_m has
+no chain form). Measures are immutable, so ``pair_profile`` finds the
+engines of the last few pairs again by the identity of the two measures, in
+either order: when announcements repeat (``IID.condition`` returns ``self``),
+a pair's report rows, horizon searches and both legs' marks read one engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BudgetExceeded, DomainError, MethodUnsupported
-from .measures import (Measure, String, _tail, joint_type, logsumexp,
-                       type_table)
+from .errors import BudgetExceeded, DomainError
+from .measures import Measure, String, _tail, joint_type, type_table
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -46,49 +39,76 @@ def _max_horizon(a: int, budget: int) -> float:
     return math.floor((math.log(budget) + 1e-9) / math.log(a))
 
 
-# -- chain (DP) route ------------------------------------------------------
+# -- chain route ------------------------------------------------------------
 
 class _ChainDP:
     """Sums over Y^m of products of per-symbol factors that depend only on
     the chain contexts of some measures; extended one horizon at a time."""
 
-    def __init__(self, measures, factor: Callable[..., np.ndarray]):
-        self._views = [x.chain_view() for x in measures]
-        if any(v is None for v in self._views):
-            raise MethodUnsupported(
-                "dp requires every measure to have a bounded-memory chain view")
+    def __init__(self, views, factor: Callable[..., np.ndarray]):
+        self.views = views
         self._factor = factor
-        self._w = {tuple(v.context for v in self._views): 1.0}
+        self._w = {tuple(v.context for v in views): 1.0}
         self.sums: List[float] = [1.0]
 
     def up_to(self, m: int) -> float:
         while len(self.sums) <= m:
             new: dict = {}
             for ctx, w in self._w.items():
-                fac = self._factor(*(v.dist(c) for v, c in zip(self._views, ctx)))
+                fac = self._factor(*(v.dist(c) for v, c in zip(self.views, ctx)))
                 for y in range(len(fac)):
                     key = tuple(_tail(c + (y,), v.order)
-                                for v, c in zip(self._views, ctx))
+                                for v, c in zip(self.views, ctx))
                     new[key] = new.get(key, 0.0) + w * fac[y]
             self._w = new
             self.sums.append(math.fsum(new.values()))
         return self.sums[m]
 
 
-def _chain_affinity(p: Measure, q: Measure) -> Callable[[int], float]:
-    """m -> H_m over paired chain contexts; rho**m in closed form when both
-    chains are memoryless, so no context bookkeeping is needed."""
-    chain = _ChainDP((p, q), lambda fp, fq: np.sqrt(fp * fq))
-    vp, vq = chain._views
+def _chain(measures: Sequence[Measure], factor: Callable[..., np.ndarray]
+           ) -> Optional[_ChainDP]:
+    """The context DP of the measures, or None when one has no chain view."""
+    views = [x.chain_view() for x in measures]
+    if any(v is None for v in views):
+        return None
+    return _ChainDP(views, factor)
+
+
+def _chain_affinity(p: Measure, q: Measure) -> Optional[Callable[[int], float]]:
+    """m -> H_m over paired chain contexts (None off the chain route); rho**m
+    when both are memoryless, which needs no context bookkeeping."""
+    chain = _chain((p, q), lambda fp, fq: np.sqrt(fp * fq))
+    if chain is None:
+        return None
+    vp, vq = chain.views
     if vp.order == 0 and vq.order == 0:
         rho = min(float(np.sqrt(vp.dist(()) * vq.dist(())).sum()), 1.0)
         return lambda m: rho ** m
     return lambda m: min(chain.up_to(m), 1.0)
 
 
-# -- enumeration route -------------------------------------------------------
+# -- type route ---------------------------------------------------------------
 
-#: terms of one horizon that ``_enum_profiles`` collects before summing them
+def _type_levels(measures: Sequence[Measure], budget: int
+                 ) -> Callable[[int], Optional[Tuple[np.ndarray, list]]]:
+    """m -> level m of the type route: its types' log multiplicities and each
+    measure's ``type_log_probs``; None without a joint type or past what the
+    budget affords the table. Memoised; the joint type is found only once."""
+    types = joint_type(measures)
+    t = None if types is None else type_table(measures[0].a, *types)
+    memo: dict = {}
+
+    def level(m: int):
+        if m not in memo and t is not None and t.reach(m, budget) >= m:
+            lps = [x.type_log_probs(t, m) for x in measures]
+            memo[m] = t.log_mult[t.rows[m]], lps
+        return memo.get(m)
+    return level
+
+
+# -- walk route ---------------------------------------------------------------
+
+#: terms of one horizon that ``_walk_sums`` collects before summing them
 _FOLD = 2 ** 16
 
 
@@ -113,31 +133,25 @@ def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
                               [lp + math.log(d[y]) for lp, d in zip(lps, dists)]))
 
 
-def _enum_profiles(p: Measure, q: Measure, max_m: int,
-                   budget: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(H_0..H_max, TV_0..TV_max) by one depth-first walk of the tree."""
-    hell: List[list] = [[] for _ in range(max_m + 1)]
-    tv: List[list] = [[] for _ in range(max_m + 1)]
-    for x, (lp, lq) in tree_walk((p, q), max_m, budget):
-        h, t = hell[len(x)], tv[len(x)]
-        h.append(math.exp(0.5 * (lp + lq)))
-        t.append(abs(math.exp(lp) - math.exp(lq)))
-        if len(h) == _FOLD:  # bounds memory; each fold rounds once
-            h[:], t[:] = [math.fsum(h)], [math.fsum(t)]
-    return (np.minimum([math.fsum(h) for h in hell], 1.0),
-            np.array([math.fsum(t) for t in tv]))
+def _walk_sums(measures: Sequence[Measure], m: int, budget: int,
+               terms: Sequence[Callable[..., float]]) -> List[List[float]]:
+    """For each term, its sums over Y^0 .. Y^m of term(log P(x) under each
+    measure), all by one depth-first walk of the tree."""
+    parts = [[[] for _ in range(m + 1)] for _ in terms]
+    for x, lps in tree_walk(measures, m, budget):
+        for term, levels in zip(terms, parts):
+            s = levels[len(x)]
+            s.append(term(*lps))
+            if len(s) == _FOLD:  # bounds memory; each fold rounds once
+                s[:] = [math.fsum(s)]
+    return [[math.fsum(s) for s in levels] for levels in parts]
 
 
 # -- the pair engine ----------------------------------------------------------
 
 class HorizonProfile:
-    """Metrics engine of one ordered pair: memoised H_m and TV_m on the route
-    picked for the pair, and a bisection for the smallest horizon with H_m
-    below a threshold (H_m is non-increasing in m).
-
-    Off the chain route a level is summed over its types, or walked when the
-    pair has no joint type or the type table cannot afford the level.
-    """
+    """Metrics engine of one ordered pair: memoised H_m and TV_m, and a
+    bisection for the first m with H_m (non-increasing) below a threshold."""
 
     #: searches cut short by the enumeration budget, summed over all engines
     capped_searches = 0
@@ -145,38 +159,24 @@ class HorizonProfile:
     def __init__(self, p: Measure, q: Measure, budget: int = DEFAULT_BUDGET):
         self.p, self.q = p, q
         self.budget = budget
-        try:
-            self._chain = _chain_affinity(p, q)
-        except MethodUnsupported:
-            self._chain = None
-        types = joint_type((p, q))
-        self._table = None if types is None else type_table(p.a, *types)
-        self._reach = -1  # the deepest level the type table is known to afford
-        self._logps: dict = {}  # m -> type_log_probs(m) of p, of q
+        self._chain = _chain_affinity(p, q)
+        self._level = _type_levels((p, q), budget)
         self._memo = ({0: 1.0}, {0: 0.0})  # H_m, TV_m
-
-    def _typed(self, m: int) -> bool:
-        if m > self._reach and self._table is not None:
-            self._reach = self._table.reach(m, self.budget)
-        return m <= self._reach
 
     def _read(self, m: int, which: int) -> float:
         """H_m (which = 0) or TV_m (1), memoised."""
         v = self._memo[which].get(m)
         if v is not None:
             return v
-        if not self._typed(m):  # one walk fills H (off the chain route) and TV
-            hs, tvs = _enum_profiles(self.p, self.q, m, self.budget)
-            if self._chain is None:
-                self._memo[0].update(enumerate(hs.tolist()))
-            self._memo[1].update(enumerate(tvs.tolist()))
-            return float((hs, tvs)[which][m])
-        t = self._table
-        if m not in self._logps:
-            self._logps[m] = (self.p.type_log_probs(t, m),
-                              self.q.type_log_probs(t, m))
-        lp, lq = self._logps[m]
-        lc = t.log_mult[t.rows[m]]
+        level = self._level(m)
+        if level is None:  # one walk fills H and TV up to m
+            hs, tvs = _walk_sums((self.p, self.q), m, self.budget, (
+                lambda lp, lq: math.exp(0.5 * (lp + lq)),
+                lambda lp, lq: abs(math.exp(lp) - math.exp(lq))))
+            self._memo[0].update(enumerate(min(h, 1.0) for h in hs))
+            self._memo[1].update(enumerate(tvs))
+            return self._memo[which][m]
+        lc, (lp, lq) = level
         self._memo[which][m] = v = (
             min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
             else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
@@ -202,11 +202,12 @@ class HorizonProfile:
         """
         if m_max < 1:
             return None
-        if self._chain is None and not self._typed(m_max):
-            cap = max(_max_horizon(self.p.a, self.budget), self._reach)
-            if m_max > cap:
+        if self._chain is None and self._level(m_max) is None:
+            top, cap = m_max, _max_horizon(self.p.a, self.budget)
+            while m_max > cap and self._level(m_max) is None:
+                m_max -= 1
+            if m_max < top:
                 HorizonProfile.capped_searches += 1
-                m_max = cap
         if m_max < 1 or not self.h(m_max) < threshold:
             return None
         lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
@@ -244,29 +245,17 @@ def pair_profile(p: Measure, q: Measure,
 def _check(m: int, p: Measure, *others: Measure) -> None:
     if m < 0:
         raise DomainError("horizon must be >= 0")
-    if any(x.a != p.a for x in others):
-        raise DomainError("measures live on different alphabets")
+    for x in others:
+        if x.a != p.a:
+            raise DomainError("measures live on different alphabets")
 
 
-def hellinger_restricted(p: Measure, q: Measure, m: int, method: str = "auto",
+def hellinger_restricted(p: Measure, q: Measure, m: int,
                          budget: int = DEFAULT_BUDGET) -> float:
     """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
-    if method != "auto" or m <= 0 or p.a != q.a:  # the checks, and m = 0
-        return float(affinity_profile(p, q, m, method, budget)[m])
+    if m < 0 or p.a != q.a:  # inline, as every leg's mark passes here
+        _check(m, p, q)
     return pair_profile(p, q, budget).h(m)
-
-
-def affinity_profile(p: Measure, q: Measure, max_m: int, method: str = "auto",
-                     budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """H_0 .. H_max as an array."""
-    _check(max_m, p, q)
-    if method == "enumerate":
-        return _enum_profiles(p, q, max_m, budget)[0]
-    if method not in ("auto", "dp"):
-        raise DomainError(f"unknown method {method!r}")
-    h = pair_profile(p, q, budget).h if method == "auto" \
-        else _chain_affinity(p, q)
-    return np.array([h(m) for m in range(max_m + 1)])
 
 
 def tv_restricted(p: Measure, q: Measure, m: int,
@@ -274,14 +263,6 @@ def tv_restricted(p: Measure, q: Measure, m: int,
     """Total variation of the horizon-m restrictions; in [0, 2]."""
     _check(m, p, q)
     return pair_profile(p, q, budget).tv(m)
-
-
-def tv_profile(p: Measure, q: Measure, max_m: int,
-               budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """TV_0 .. TV_max as an array."""
-    _check(max_m, p, q)
-    engine = pair_profile(p, q, budget)
-    return np.array([engine.tv(m) for m in range(max_m + 1)])
 
 
 def hellinger_tv_bounds(h: float) -> Tuple[float, float]:
@@ -298,33 +279,12 @@ def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
     _check(m, f, p, q)
     if m == 0:
         return 1.0
-    if all(x.chain_view() is not None for x in (f, p, q)):
-        return _ChainDP((f, p, q), lambda ff, fp, fq: ff * np.sqrt(fq / fp)
-                        ).up_to(m)
-    types = joint_type((f, p, q))
-    t = None if types is None else type_table(f.a, *types)
-    if t is not None and t.reach(m, budget) == m:
-        lf, lp, lq = (x.type_log_probs(t, m) for x in (f, p, q))
-        return float(np.exp(t.log_mult[t.rows[m]] + lf + 0.5 * (lq - lp)).sum())
-    return math.fsum(math.exp(lf + 0.5 * (lq - lp))
-                     for x, (lf, lp, lq) in tree_walk((f, p, q), m, budget)
-                     if len(x) == m)
-
-
-@dataclass
-class HorizonDistribution:
-    """Explicit restriction of a measure to Y^m: (string, log-probability)."""
-
-    horizon: int
-    items: List[Tuple[String, float]]
-
-
-def horizon_distribution(measure: Measure, m: int,
-                         budget: int = DEFAULT_BUDGET) -> HorizonDistribution:
-    """Enumerate the horizon-m restriction; validates normalization."""
-    items = [(x, lps[0]) for x, lps in tree_walk((measure,), m, budget)
-             if len(x) == m]
-    total = logsumexp([lp for _, lp in items])
-    if abs(math.exp(total) - 1.0) > 1e-9:
-        raise DomainError(f"restriction mass {math.exp(total)} not 1 within 1e-9")
-    return HorizonDistribution(m, items)
+    chain = _chain((f, p, q), lambda ff, fp, fq: ff * np.sqrt(fq / fp))
+    if chain is not None:
+        return chain.up_to(m)
+    level = _type_levels((f, p, q), budget)(m)
+    if level is not None:
+        lc, (lf, lp, lq) = level
+        return float(np.exp(lc + lf + 0.5 * (lq - lp)).sum())
+    return _walk_sums((f, p, q), m, budget, [
+        lambda lf, lp, lq: math.exp(lf + 0.5 * (lq - lp))])[0][m]

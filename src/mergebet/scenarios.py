@@ -32,7 +32,7 @@ class ForecasterSpec:
 
 
 class CoherentForecaster:
-    """Announces condition_on(base, history) each step.
+    """Announces ``base.condition(history)`` each step.
 
     Conditioning is applied one symbol at a time when successive calls grow
     the history (for example one list appended to in place) by one symbol,

@@ -1,9 +1,13 @@
-"""Shared helpers: random Cromwell-valid measures for property tests."""
+"""Shared helpers: random Cromwell-valid measures for property tests, and
+H_m and TV_m by the tree walk alone."""
+
+import math
 
 import numpy as np
 import pytest
 
 from mergebet.measures import BetaLearner, FiniteMixture, IID, Markov, Measure
+from mergebet.metrics import DEFAULT_BUDGET, _walk_sums
 
 
 def random_simplex(rng, a: int, lo: float = 0.02) -> np.ndarray:
@@ -52,6 +56,14 @@ def random_measure(rng, a: int = 2) -> Measure:
     if pick == 2:
         return random_beta(rng, a)
     return random_mixture(rng, a)
+
+
+def walk_profiles(p, q, m: int, budget: int = DEFAULT_BUDGET):
+    """(H_0 .. H_m, TV_0 .. TV_m) as arrays, by one walk of the tree."""
+    hs, tvs = _walk_sums((p, q), m, budget, (
+        lambda lp, lq: math.exp(0.5 * (lp + lq)),
+        lambda lp, lq: abs(math.exp(lp) - math.exp(lq))))
+    return np.array(hs), np.array(tvs)
 
 
 @pytest.fixture

@@ -12,14 +12,14 @@ from mergebet.harness import (ExperimentConfig, incremental_capitals,
                               oracle_expect_capital, oracle_metrics, play,
                               run_experiment)
 from mergebet.measures import Alphabet, bernoulli
-from mergebet.metrics import (hellinger_restricted, hellinger_tv_bounds,
-                              tv_restricted)
+from mergebet.metrics import (_chain_affinity, hellinger_restricted,
+                              hellinger_tv_bounds, tv_restricted)
 from mergebet.protocol import BetOrder, ForecastPair, ProtocolState, order_cost
 from mergebet.scenarios import make_forecaster, make_reality
 from mergebet.strategy import LimWrapConfig, MixtureSceptic, build_hedge, \
     wrap_capital_path
 
-from conftest import random_markov, random_measure
+from conftest import random_markov, random_measure, walk_profiles
 
 
 def report(capsys, name, ok, detail):
@@ -138,10 +138,9 @@ def test_criterion_5_metric_identities(capsys):
     for _ in range(100):
         p = random_markov(rng, order=int(rng.integers(1, 3)))
         q = random_markov(rng, order=int(rng.integers(1, 3)))
+        chain, walk = _chain_affinity(p, q), walk_profiles(p, q, 10)[0]
         for m in (1, 4, 7, 10):
-            dp_worst = max(dp_worst, abs(
-                hellinger_restricted(p, q, m, method="dp")
-                - hellinger_restricted(p, q, m, method="enumerate")))
+            dp_worst = max(dp_worst, abs(chain(m) - walk[m]))
 
     sup_worst = 0.0
     for _ in range(50):

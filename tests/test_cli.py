@@ -13,7 +13,7 @@ import mergebet
 from mergebet.cli import cli, main
 from mergebet.harness import TRACE_HEADER
 
-from test_harness import betting_config, tiny_config
+from test_harness import FAIR, betting_config, tiny_config
 
 
 def write_config(tmp_path, d, name="cfg.json"):
@@ -129,6 +129,25 @@ def test_exit_code_config_error(tmp_path):
                       "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"m_report": -1},
+    {"budget": 0},
+    {"seed": -1},
+    {"seed": "one"},
+    {"sceptic": {"J": 3, "lim_wrap": "false"}},
+    {"reality": {"kind": "sample", "measure": FAIR, "seed": 0.5}},
+    {"reality": {"kind": "switch_at", "before": FAIR, "after": FAIR}},
+    {"reality": {"kind": "switch_at", "step": "x", "before": FAIR,
+                 "after": FAIR}},
+    {"forecaster_I": {"kind": "coherent", "measure": {
+        "family": "conditioned", "base": FAIR, "prefix": [0.9, 1.2]}}},
+])
+def test_exit_code_config_error_on_bad_fields(tmp_path, overrides):
+    cfg = write_config(tmp_path, tiny_config(**overrides))
+    assert exit_code(["run", "--config", cfg,
+                      "--out", str(tmp_path / "o")]) == 2
+
+
 def test_exit_code_cromwell_violation(tmp_path):
     d = tiny_config()
     d["forecaster_I"] = {"kind": "coherent",
@@ -142,6 +161,18 @@ def test_exit_code_budget_exceeded(tmp_path):
     cfg = write_config(tmp_path, tiny_config(T=30))
     assert exit_code(["oracle", "--check", "martingale",
                       "--config", cfg]) == 4
+
+
+def test_exit_code_budget_exceeded_for_an_untyped_report_pair(tmp_path):
+    # a conditioned learner has neither a chain view nor a type, so its
+    # report rows take the walk, which this budget affords to m = 4 only
+    learner = {"family": "conditioned", "prefix": [1],
+               "base": {"family": "beta_learner", "pseudo_counts": [1, 1]}}
+    d = tiny_config(m_report=5, budget=2 ** 4)
+    d["forecaster_I"] = {"kind": "coherent", "measure": learner}
+    cfg = write_config(tmp_path, d)
+    assert exit_code(["run", "--config", cfg,
+                      "--out", str(tmp_path / "o")]) == 4
 
 
 def test_exit_code_missing_option():

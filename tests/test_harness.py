@@ -13,6 +13,7 @@ from mergebet.harness import (ExperimentConfig, TRACE_HEADER,
                               run_experiment, run_on_path, summarize)
 from mergebet.measures import bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
+from mergebet.scenarios import catalog
 
 FAIR = {"family": "iid", "weights": [0.5, 0.5]}
 
@@ -81,9 +82,36 @@ def test_config_bounds():
     with pytest.raises(ConfigError, match="T"):
         ExperimentConfig.from_dict(tiny_config(T=-1))
     with pytest.raises(ConfigError, match="m_report"):
-        ExperimentConfig.from_dict(tiny_config(m_report=40))
+        ExperimentConfig.from_dict(tiny_config(m_report=-1))
     with pytest.raises(ConfigError, match="J"):
         ExperimentConfig.from_dict(tiny_config(sceptic={"J": 0}))
+    # 2^23 strings pass the default budget, but the type route serves them
+    d = catalog()["merge-beta"]
+    d.update(T=20, m_report=23)
+    trace = run_experiment(ExperimentConfig.from_dict(d))
+    assert len(trace) == 20 and 0.0 < trace.rows[-1].h_m <= 1.0
+
+
+@pytest.mark.parametrize("field, overrides", [
+    ("budget", {"budget": 0}),
+    ("seed", {"seed": -1}),
+    ("seed", {"seed": 1.5}),
+    ("reality.seed", {"reality": {"kind": "sample", "measure": FAIR,
+                                  "seed": -2}}),
+    ("reality.seed", {"reality": {"kind": "sample", "measure": FAIR,
+                                  "seed": "7"}}),
+    ("reality.step", {"reality": {"kind": "switch_at", "before": FAIR,
+                                  "after": FAIR}}),
+    ("reality.step", {"reality": {"kind": "switch_at", "step": "3",
+                                  "before": FAIR, "after": FAIR}}),
+    ("sceptic.lim_wrap", {"sceptic": {"J": 3, "lim_wrap": "false"}}),
+    ("forecaster_I.measure.prefix", {"forecaster_I": {
+        "kind": "coherent", "measure": {"family": "conditioned",
+                                        "base": FAIR, "prefix": [0.9, 1.2]}}}),
+])
+def test_config_rejects_bad_integers_and_symbols(field, overrides):
+    with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict(tiny_config(**overrides))
 
 
 def test_config_load_rejects_missing_file():

@@ -1,25 +1,25 @@
 """Horizon-restricted Hellinger affinity and total variation."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from mergebet import metrics
-from mergebet.errors import BudgetExceeded, DomainError, MethodUnsupported
+from mergebet.errors import BudgetExceeded, DomainError
 from mergebet.measures import (BetaLearner, Conditioned, FiniteMixture, IID,
                                Markov, Measure, bernoulli, joint_type,
                                type_table)
 from mergebet.metrics import (DEFAULT_BUDGET, ENGINE_CACHE_SIZE,
-                              HorizonProfile, _enum_profiles, affinity_profile,
+                              HorizonProfile, _chain_affinity, _type_levels,
                               expectation_sqrt_ratio, hellinger_restricted,
-                              hellinger_tv_bounds, horizon_distribution,
-                              pair_profile, tree_walk, tv_profile,
+                              hellinger_tv_bounds, pair_profile, tree_walk,
                               tv_restricted)
 from mergebet.harness import ExperimentConfig, oracle_metrics, run_experiment
 
 from conftest import (random_beta, random_iid, random_markov, random_measure,
-                      random_mixture, random_simplex)
+                      random_mixture, random_simplex, walk_profiles)
 
 RHO = 2.0 * math.sqrt(0.24)  # one-step affinity of Bernoulli(0.4) vs (0.6)
 
@@ -71,44 +71,32 @@ def test_bounds_rejects_out_of_range():
         hellinger_tv_bounds(1.1)
 
 
-# -- methods and errors ------------------------------------------------------
+# -- routes and errors -------------------------------------------------------
 
 
 def test_methods_agree_on_iid():
     p, q = bernoulli(0.25), bernoulli(0.8)
+    chain, walk = _chain_affinity(p, q), walk_profiles(p, q, 8)[0]
     for m in range(9):
-        d = hellinger_restricted(p, q, m, method="dp")
-        e = hellinger_restricted(p, q, m, method="enumerate")
-        assert abs(d - e) <= 1e-12
+        assert abs(chain(m) - walk[m]) <= 1e-12
 
 
 def test_methods_agree_on_markov(rng):
     for _ in range(50):
         p = random_markov(rng, order=int(rng.integers(1, 3)))
         q = random_markov(rng, order=int(rng.integers(1, 3)))
+        chain, walk = _chain_affinity(p, q), walk_profiles(p, q, 10)[0]
         for m in (1, 5, 10):
-            d = hellinger_restricted(p, q, m, method="dp")
-            e = hellinger_restricted(p, q, m, method="enumerate")
-            assert abs(d - e) <= 1e-12
+            assert abs(chain(m) - walk[m]) <= 1e-12
 
 
 def test_dp_unsupported_for_learner():
-    with pytest.raises(MethodUnsupported):
-        hellinger_restricted(BetaLearner([1, 1]), bernoulli(0.4), 3,
-                             method="dp")
+    assert _chain_affinity(BetaLearner([1, 1]), bernoulli(0.4)) is None
 
 
 def test_enumerate_respects_budget():
     with pytest.raises(BudgetExceeded):
-        hellinger_restricted(bernoulli(0.4), bernoulli(0.6), 40,
-                             method="enumerate", budget=2 ** 10)
-
-
-def test_unknown_method():
-    with pytest.raises(DomainError):
-        hellinger_restricted(bernoulli(0.4), bernoulli(0.6), 2, method="magic")
-    with pytest.raises(DomainError):
-        affinity_profile(bernoulli(0.4), bernoulli(0.6), 2, method="magic")
+        walk_profiles(bernoulli(0.4), bernoulli(0.6), 40, budget=2 ** 10)
 
 
 def test_negative_horizon():
@@ -118,7 +106,7 @@ def test_negative_horizon():
         tv_restricted(bernoulli(0.4), bernoulli(0.6), -1)
     p = bernoulli(0.4)
     with pytest.raises(DomainError):
-        tv_profile(p, p, -1)
+        tv_restricted(p, p, -1)
 
 
 def test_alphabet_mismatch():
@@ -126,9 +114,7 @@ def test_alphabet_mismatch():
     with pytest.raises(DomainError):
         hellinger_restricted(p, q, 2)
     with pytest.raises(DomainError):
-        affinity_profile(p, q, 2)
-    with pytest.raises(DomainError):
-        tv_profile(p, q, 2)
+        tv_restricted(p, q, 2)
     for f, a, b in ((p, p, q), (p, q, p), (q, p, p)):
         with pytest.raises(DomainError):
             expectation_sqrt_ratio(f, a, b, 2)
@@ -140,8 +126,8 @@ def test_alphabet_mismatch():
 def test_monotone_and_sandwich_random_pairs(rng):
     for _ in range(300):
         p, q = random_measure(rng), random_measure(rng)
-        hs = affinity_profile(p, q, 8)
-        tvs = tv_profile(p, q, 8)
+        hs = [hellinger_restricted(p, q, m) for m in range(9)]
+        tvs = [tv_restricted(p, q, m) for m in range(9)]
         assert hs[0] == 1.0 and tvs[0] == 0.0
         for m in range(8):
             assert hs[m + 1] <= hs[m] + 1e-10
@@ -149,17 +135,6 @@ def test_monotone_and_sandwich_random_pairs(rng):
         for h, tv in zip(hs, tvs):
             lo, hi = hellinger_tv_bounds(min(float(h), 1.0))
             assert lo - 1e-10 <= tv <= hi + 1e-10
-
-
-def test_profiles_match_pointwise(rng):
-    for _ in range(25):
-        p, q = random_measure(rng), random_measure(rng)
-        hs = affinity_profile(p, q, 6)
-        tvs = tv_profile(p, q, 6)
-        for m in range(7):
-            assert hs[m] == pytest.approx(hellinger_restricted(p, q, m),
-                                          abs=1e-12)
-            assert tvs[m] == pytest.approx(tv_restricted(p, q, m), abs=1e-12)
 
 
 # -- sup-over-events total variation ------------------------------------------
@@ -194,6 +169,39 @@ def test_expectation_sqrt_ratio_base_cases():
     assert expectation_sqrt_ratio(p, p, q, 0) == 1.0
     with pytest.raises(DomainError):
         expectation_sqrt_ratio(p, p, q, -1)
+
+
+def explicit_sqrt_ratio(f, p, q, m):
+    """E_F[sqrt(Q/P)] over Y^m, string by string from cylinder_log_prob."""
+    return math.fsum(
+        math.exp(f.cylinder_log_prob(x)
+                 + 0.5 * (q.cylinder_log_prob(x) - p.cylinder_log_prob(x)))
+        for x in itertools.product(range(f.a), repeat=m))
+
+
+def test_expectation_sqrt_ratio_on_the_chain_route(rng):
+    for _ in range(10):
+        f, p, q = (random_markov(rng, order=int(rng.integers(1, 3)))
+                   for _ in range(3))
+        for m in (1, 4, 7):
+            assert abs(expectation_sqrt_ratio(f, p, q, m)
+                       - explicit_sqrt_ratio(f, p, q, m)) <= 1e-12
+
+
+def test_expectation_sqrt_ratio_on_the_walk(rng):
+    # measures with no type
+    f, p, q = (Untyped(random_measure(rng)) for _ in range(3))
+    assert joint_type((f, p, q)) is None
+    for m in range(1, 7):
+        assert abs(expectation_sqrt_ratio(f, p, q, m)
+                   - explicit_sqrt_ratio(f, p, q, m)) <= 1e-12
+    # a typed triple whose table this budget affords only to m = 4
+    f, p, q = (mixture_of_chains(rng, 3, 1, 2) for _ in range(3))
+    budget = 3 ** 5
+    assert joint_type((f, p, q)) is not None
+    assert _type_levels((f, p, q), budget)(5) is None
+    assert abs(expectation_sqrt_ratio(f, p, q, 5, budget)
+               - explicit_sqrt_ratio(f, p, q, 5)) <= 1e-12
 
 
 # -- horizon profile -----------------------------------------------------------
@@ -239,9 +247,9 @@ def test_find_below_searches_every_horizon_the_budget_affords():
              FiniteMixture([0.9, 0.1], [uniform, sticky]))
     p, q = (Untyped(x) for x in mixes)
     budget = 3 ** 5  # affords m = 5 exactly
-    hellinger_restricted(p, q, 5, method="enumerate", budget=budget)
+    walk_profiles(p, q, 5, budget)
     with pytest.raises(BudgetExceeded):
-        hellinger_restricted(p, q, 6, method="enumerate", budget=budget)
+        walk_profiles(p, q, 6, budget)
     engine = HorizonProfile(p, q, budget)
     threshold = 0.5 * (engine.h(4) + engine.h(5))
     capped = HorizonProfile.capped_searches
@@ -313,7 +321,7 @@ def test_engine_cache_gives_a_reused_id_a_fresh_engine():
     engine = pair_profile(p, q)
     assert engine.p is p
     assert engine.h(1) == pytest.approx(
-        hellinger_restricted(p, q, 1, method="enumerate"), abs=1e-15)
+        walk_profiles(p, q, 1)[0][1], abs=1e-15)
 
 
 def test_engine_cache_keeps_its_measures_alive():
@@ -372,7 +380,7 @@ def test_enumeration_walk_matches_oracle_on_mixtures(rng):
     pairs = list(zip(mixes[0::2], mixes[1::2])) + [(mixes[-1], mixes[0])]
     for p, q in pairs:
         assert p.a == q.a
-        hs, tvs = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+        hs, tvs = walk_profiles(p, q, 8)
         engine = HorizonProfile(p, q)  # the type route, or the walk
         for m in range(9):
             h, tv, _ = oracle_metrics(p, q, m)
@@ -384,9 +392,9 @@ def test_enumeration_walk_matches_oracle_on_mixtures(rng):
 
 def test_enumeration_sums_fold_without_losing_accuracy(monkeypatch, rng):
     p, q = walk_mixtures(rng)[:2]
-    whole = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+    whole = walk_profiles(p, q, 8)
     monkeypatch.setattr(metrics, "_FOLD", 3)  # fold every level's terms often
-    folded = _enum_profiles(p, q, 8, DEFAULT_BUDGET)
+    folded = walk_profiles(p, q, 8)
     for a, b in zip(whole, folded):  # under 2^8 folds a level, each rounding
         assert np.max(np.abs(a - b)) <= 2 ** 8 * 2.0 ** -52  # a sum below 2
 
@@ -414,7 +422,7 @@ def test_tree_walk_is_linear_in_the_nodes(monkeypatch, rng):
     for a, k, m in ((2, 2, 10), (2, 3, 8), (3, 2, 6)):
         mix = mixture_of_chains(rng, a, 1, k)
         calls[0] = 0
-        assert len(horizon_distribution(mix, m).items) == a ** m
+        assert sum(len(x) == m for x, _ in tree_walk((mix,), m)) == a ** m
         assert calls[0] <= k * (a ** (m + 1) - 1) // (a - 1)
 
 
@@ -433,16 +441,15 @@ def test_tree_walk_visits_parents_first_in_symbol_order():
 def test_horizon_distribution_normalizes(rng):
     for _ in range(10):
         p = random_measure(rng)
-        dist = horizon_distribution(p, 5)
-        assert dist.horizon == 5
-        assert len(dist.items) == 32
-        total = math.fsum(math.exp(lp) for _, lp in dist.items)
+        level = [lps[0] for x, lps in tree_walk((p,), 5) if len(x) == 5]
+        assert len(level) == 32
+        total = math.fsum(math.exp(lp) for lp in level)
         assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_horizon_distribution_budget():
     with pytest.raises(BudgetExceeded):
-        horizon_distribution(bernoulli(0.5), 30, budget=2 ** 10)
+        next(tree_walk((bernoulli(0.5),), 30, budget=2 ** 10))
 
 
 # -- the type route ---------------------------------------------------------------
