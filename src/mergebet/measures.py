@@ -30,7 +30,7 @@ import math
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, product
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -54,6 +54,8 @@ def logsumexp(a, axis=None):
 Symbol = int
 String = tuple  # tuple of symbols; () is the empty string
 
+_RAMP = np.arange(256.0)  # Beta rising-factorial offsets; regrown on demand
+
 #: tolerance for checking that a supplied distribution sums to one
 SUM_TOL = 1e-9
 
@@ -69,7 +71,10 @@ class Alphabet:
             raise DomainError(f"alphabet size must be >= 1, got {self.size}")
 
     def check_string(self, x: Sequence[Symbol]) -> String:
-        x = tuple(map(int, x))
+        try:
+            x = tuple(map(operator.index, x))
+        except TypeError as e:
+            raise DomainError(f"symbols must be integers: {e}") from None
         size = self.size
         for s in x:
             if not 0 <= s < size:
@@ -397,6 +402,7 @@ class BetaLearner(Measure):
         a.flags.writeable = False
         self._alpha = a
         self._alpha0 = float(a.sum())
+        self._rising = None  # type_log_probs' table, built on first use
 
     def one_step(self, history: String) -> np.ndarray:
         history = tuple(history)
@@ -421,6 +427,7 @@ class BetaLearner(Measure):
         a.flags.writeable = False
         b._alpha = a
         b._alpha0 = float(a.sum())
+        b._rising = None
         return b
 
     def type_key(self):
@@ -429,13 +436,18 @@ class BetaLearner(Measure):
     def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
         # log rising factorials: running sums of log(alpha_y + i), last row
         # log(alpha0 + i); log-gamma differences near n lose ~eps * n log n
-        cum = getattr(self, "_rising", None)
+        global _RAMP
+        cum = self._rising
         if cum is None or cum.shape[1] <= m:
+            if _RAMP.size < m:
+                _RAMP = np.arange(2.0 * m)
             cum = self._rising = np.zeros((self.a + 1, m + 1))
-            np.cumsum(np.log(np.append(self._alpha, self._alpha0)[:, None]
-                             + np.arange(m)), axis=1, out=cum[:, 1:])
+            ends = np.empty((self.a + 1, 1))
+            ends[:-1, 0], ends[-1, 0] = self._alpha, self._alpha0
+            np.cumsum(np.log(ends + _RAMP[:m]), axis=1, out=cum[:, 1:])
         c = table.symbols[table.rows[m]]
-        return sum(cum[y].take(c[:, y]) for y in range(self.a)) - cum[-1, m]
+        return reduce(np.add, [cum[y].take(c[:, y])
+                               for y in range(self.a)]) - cum[-1, m]
 
 
 class FiniteMixture(Measure):
@@ -514,9 +526,12 @@ class FiniteMixture(Measure):
         return joint_type(self.components)
 
     def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
-        stacked = np.stack([c.type_log_probs(table, m)
-                            for c in self.components]) + self._logw[:, None]
-        return logsumexp(stacked, axis=0)
+        # logsumexp of the rows, added in order as np.sum(axis=0) of a stack
+        rows = [c.type_log_probs(table, m) + v
+                for c, v in zip(self.components, self._lw)]
+        hi = reduce(np.maximum, rows)
+        hi = np.where(np.isfinite(hi), hi, 0.0)
+        return np.log(reduce(np.add, [np.exp(r - hi) for r in rows])) + hi
 
 
 class Conditioned(Measure):

@@ -11,7 +11,8 @@ from mergebet.harness import (ExperimentConfig, TRACE_HEADER,
                               incremental_capitals, measure_from_spec,
                               oracle_expect_capital, oracle_metrics,
                               run_experiment, run_on_path, summarize)
-from mergebet.measures import bernoulli
+from mergebet import measures
+from mergebet.measures import FiniteMixture, bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
 from mergebet.scenarios import catalog
 
@@ -178,6 +179,52 @@ def test_engine_is_the_only_book_of_hedge_legs(monkeypatch):
     assert sum(trace.component_bets) > 0
     assert len(held) == 300
     assert len(advances) == sum(held) > 0
+
+
+MARKOV_MIX_CHAINS = [
+    {"family": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
+    {"family": "markov", "transition": [[0.4, 0.6], [0.6, 0.4]]}]
+
+
+def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
+    # a mixture's type level sums its components' rows itself; and once the
+    # horizon search settles, each step scores its two fresh posteriors at
+    # two levels (the search's and the report's), no more
+    def refuse(*args, **kwargs):
+        raise AssertionError("measures.logsumexp reached")
+
+    calls, per_step = [0], []
+    type_log_probs, settle = (FiniteMixture.type_log_probs,
+                              ProtocolState.settle_step)
+
+    def counted_type_log_probs(self, table, m):
+        calls[0] += 1
+        return type_log_probs(self, table, m)
+
+    def counted_settle(self, y, pair):
+        per_step.append(calls[0])
+        calls[0] = 0
+        return settle(self, y, pair)
+
+    monkeypatch.setattr(measures, "logsumexp", refuse)
+    monkeypatch.setattr(FiniteMixture, "type_log_probs", counted_type_log_probs)
+    monkeypatch.setattr(ProtocolState, "settle_step", counted_settle)
+    cfg = ExperimentConfig.load("singular-pair")
+    cfg.t = 200
+    run_experiment(cfg)
+    assert len(per_step) == 200
+    assert max(per_step[50:]) <= 4
+
+    def mix(w):
+        return {"kind": "coherent", "measure": {
+            "family": "mixture", "weights": w, "components": MARKOV_MIX_CHAINS}}
+
+    trace = run_experiment(ExperimentConfig.from_dict(tiny_config(
+        T=200, forecaster_I=mix([0.5, 0.5]), forecaster_II=mix([0.9, 0.1]),
+        reality={"kind": "sample", "measure": MARKOV_MIX_CHAINS[0]},
+        sceptic={"J": 8, "M_max": 8, "lim_wrap": False}, m_report=6,
+        seed=16)))
+    assert len(trace) == 200 and sum(per_step[200:]) > 0
 
 
 def test_zero_steps_empty_trace():

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 from mergebet.errors import CromwellViolation, DomainError
 from mergebet.measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture,
                                IID, Markov, Measure, bernoulli, joint_type,
-                               type_table)
+                               logsumexp, type_table)
 from mergebet.metrics import DEFAULT_BUDGET
 
-from conftest import random_measure
+from conftest import (random_beta, random_iid, random_markov, random_measure,
+                      random_simplex)
 
 # -- one_step ---------------------------------------------------------------
 
@@ -228,6 +229,17 @@ def test_alphabet_check_string_converts_and_names_the_first_bad_symbol():
         a.check_string([-1, 7])
 
 
+def test_alphabet_check_string_refuses_non_integer_symbols():
+    # int() used to truncate: condition([0.9, 1.7]) conditioned on (0, 1)
+    b, p = BetaLearner([1, 1]), bernoulli(0.3)
+    for bad in ([0.9, 1.7], [1.7], [1.0], [np.float64(0.0)], ["1"], "01",
+                [0, "a"]):
+        for call in (b.condition, b.cylinder_log_prob, p.condition,
+                     p.cylinder_log_prob):
+            with pytest.raises(DomainError, match="^symbols must be integers"):
+                call(bad)
+
+
 # -- mixtures ---------------------------------------------------------------
 
 
@@ -372,6 +384,58 @@ def test_beta_count_route_exact_at_ten_thousand_counts():
         tv = sum(k * abs(dec(p) - dec(q)) for k, p, q in zip(mult, *exact))
         assert abs(Decimal(hellinger_restricted(*learners, m)) - h) <= 1e-13
         assert abs(Decimal(tv_restricted(*learners, m)) - tv) <= 1e-13
+
+
+def stacked_mixture_log_probs(mix, table, m):
+    """A mixture's type level by the stacked logsumexp it replaced."""
+    rows = [c.type_log_probs(table, m) for c in mix.components]
+    return logsumexp(np.stack(rows) + mix._logw[:, None], axis=0)
+
+
+def test_mixture_type_log_probs_equal_the_stacked_logsumexp(rng):
+    # bit for bit: the rows are summed in the order numpy sums a stack
+    for a in (2, 3):
+        pool = [lambda: random_iid(rng, a), lambda: random_beta(rng, a),
+                # order 2 after one symbol: still in the initial ramp
+                lambda: random_markov(rng, a, order=2).condition((1,)),
+                lambda: random_markov(rng, a, order=1).condition((0, 1))]
+        mixes = []
+        for k in (1, 2, 3, 4, 4):
+            comps = [pool[int(i)]() for i in rng.integers(0, len(pool), k)]
+            mixes.append(FiniteMixture(random_simplex(rng, k, lo=1e-3), comps))
+        mixes.append(FiniteMixture([0.3, 0.7], [
+            random_markov(rng, a, order=2).condition((1,)), mixes[2]]))
+        mixes.append(mixes[4].condition((1, 0, 1)))
+        for mix in mixes:
+            table = type_table(a, *mix.type_key())
+            assert table.reach(12, DEFAULT_BUDGET) == 12
+            for m in range(13):
+                assert np.array_equal(mix.type_log_probs(table, m),
+                                      stacked_mixture_log_probs(mix, table, m))
+
+
+def rising_factorial_log_probs(b, table, m):
+    """A Beta learner's type level by the np.append/cumsum formula it
+    replaced, its table built afresh for level m."""
+    cum = np.zeros((b.a + 1, m + 1))
+    np.cumsum(np.log(np.append(b._alpha, b._alpha0)[:, None] + np.arange(m)),
+              axis=1, out=cum[:, 1:])
+    c = table.symbols[table.rows[m]]
+    return sum(cum[y].take(c[:, y]) for y in range(b.a)) - cum[-1, m]
+
+
+def test_beta_type_log_probs_equal_the_rising_factorial_formula(rng):
+    # bit for bit, also when a table regrows (8, 16, 300 past the shared
+    # offsets) or serves a lower level than it was built for
+    path = tuple(int(y) for y in rng.integers(0, 2, size=10_000))
+    for b in (BetaLearner([0.5, 2.0]), BetaLearner([1.3, 0.7, 2.9]),
+              random_beta(rng, 3).child(2),
+              BetaLearner([0.5, 0.5]).condition(path)):
+        table = type_table(b.a, 0, ())
+        for m in (0, 8, 16, 4, 0) + ((300, 5) if b.a == 2 else ()):
+            assert table.reach(m, DEFAULT_BUDGET) == m
+            assert np.array_equal(b.type_log_probs(table, m),
+                                  rising_factorial_log_probs(b, table, m))
 
 
 def test_type_keys():
