@@ -13,12 +13,14 @@ Families:
   * ``FiniteMixture``  -- Bayesian mixture of component measures.
   * ``Conditioned``    -- generic wrapper pinning a prefix of history.
 
-All measures are immutable after construction. ``child(y)`` is each family's
-one-symbol step, the conditional after one more symbol, which it does not
-validate; ``condition`` is defined once, in ``Measure``: it validates a prefix
-and folds ``child`` over it. Construction rejects any parameter that would
-yield a zero one-step probability (Cromwell's rule), optionally smoothing user
-tables with a floor.
+All measures are immutable after construction. ``child(y)`` is the
+conditional after one more symbol, unvalidated; ``Measure`` memoises each
+family's step ``_child`` per object and symbol by a weak reference, so all
+who step one object by y share a child while any holds it (``IID`` is its own
+child; ``Markov`` keeps one per context). ``condition``, defined once in
+``Measure``, validates a prefix and folds ``child`` over it. Construction
+rejects any parameter that would yield a zero one-step probability
+(Cromwell's rule), optionally smoothing user tables with a floor.
 
 Each family gives all strings of one type (``TypeTable``, named by
 ``type_key``) one probability, its ``type_log_probs``.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
@@ -206,7 +209,7 @@ class Measure:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._tlp: dict = {}  # a chain's type_log_probs by (table key, m)
+        self._memo: dict = {}  # y -> weak child; (table key, m) -> log probs
 
     @property
     def a(self) -> int:
@@ -228,7 +231,17 @@ class Measure:
 
     def child(self, y: Symbol) -> "Measure":
         """The conditional measure after one more symbol ``y``, which the
-        caller has checked against the alphabet."""
+        caller has checked against the alphabet; one object per symbol while
+        anything holds it, so a leg steps onto the announced conditional."""
+        ref = self._memo.get(y)
+        m = ref and ref()
+        if m is None:
+            m = self._child(y)
+            self._memo[y] = weakref.ref(m)
+        return m
+
+    def _child(self, y: Symbol) -> "Measure":
+        """The family's one-symbol step, which ``child`` memoises."""
         return Conditioned(self, (y,))
 
     def condition(self, prefix: Sequence[Symbol]) -> "Measure":
@@ -266,12 +279,12 @@ class Measure:
     def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
         """log P of a string of each type of level m of a table whose key
         agrees with ``type_key``: a chain sums log P(y | context) by cell."""
-        out = self._tlp.get((table.key, m))
+        out = self._memo.get((table.key, m))
         if out is None:
             v = self.chain_view()
             log_theta = np.concatenate([np.log(v.dist(_tail(c, v.order)))
                                         for c in table.contexts])
-            out = self._tlp[table.key, m] = table.counts[table.rows[m]] @ log_theta
+            out = self._memo[table.key, m] = table.counts[table.rows[m]] @ log_theta
         return out
 
 
@@ -418,7 +431,7 @@ class BetaLearner(Measure):
             c[y] += 1
         return lp
 
-    def child(self, y: Symbol) -> "BetaLearner":
+    def _child(self, y: Symbol) -> "BetaLearner":
         # bypass __init__ checks: posterior counts of a valid learner stay valid
         b = BetaLearner.__new__(BetaLearner)
         Measure.__init__(b, self.alphabet)
@@ -510,14 +523,14 @@ class FiniteMixture(Measure):
         return float(logsumexp(self._logw + np.array(
             [c.cylinder_log_prob(x) for c in self.components])))
 
-    def child(self, y: Symbol) -> "FiniteMixture":
+    def _child(self, y: Symbol) -> "FiniteMixture":
         # Bayes' rule in floats: add each component's log law of y, then
         # renormalise by a max shift, so no weight rounds to a literal zero
         lw = [v + math.log(d[y]) for v, d in zip(self._lw, self._laws()[0])]
         hi = max(lw)
         z = hi + math.log(math.fsum(math.exp(v - hi) for v in lw))
         m = FiniteMixture.__new__(FiniteMixture)
-        m.alphabet, m._next = self.alphabet, None
+        m.alphabet, m._next, m._memo = self.alphabet, None, {}
         m.components = [c.child(y) for c in self.components]
         m._lw = [v - z for v in lw]
         return m
@@ -554,7 +567,7 @@ class Conditioned(Measure):
         return (self.base.cylinder_log_prob(self.prefix + x)
                 - self.base.cylinder_log_prob(self.prefix))
 
-    def child(self, y: Symbol) -> "Conditioned":
+    def _child(self, y: Symbol) -> "Conditioned":
         c = Conditioned.__new__(Conditioned)
         Measure.__init__(c, self.alphabet)
         c.base, c.prefix = self.base, self.prefix + (y,)

@@ -14,8 +14,8 @@ three routes that fits its measures, and is picked in this module alone:
 ``HorizonProfile``, the engine of one pair, memoises H_m and TV_m (TV_m has
 no chain form). Measures are immutable, so ``pair_profile`` finds the
 engines of the last few pairs again by the identity of the two measures, in
-either order: when announcements repeat (``IID.condition`` returns ``self``),
-a pair's report rows, horizon searches and both legs' marks read one engine.
+either order: legs step onto the announced measures (``child`` is memoised),
+so a coherent step's report, horizon searches and leg marks read one engine.
 """
 
 from __future__ import annotations
@@ -223,7 +223,8 @@ class HorizonProfile:
 #: engines of the pairs met last, oldest first, by (id(p), id(q), budget); an
 #: entry holds its measures, so no other object can take an id in its key
 _ENGINES: Dict[tuple, HorizonProfile] = {}
-#: a step reads the announced pair and the pairs of the legs it marks
+#: a coherent step reads one pair, the announced one, which its legs mark
+#: too; only a scripted forecaster's legs read other pairs
 ENGINE_CACHE_SIZE = 8
 
 

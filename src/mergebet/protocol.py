@@ -15,8 +15,9 @@ Orders may contain explicit stakes on finite strings and/or structured hedge
 legs. A hedge leg stakes scale * sqrt(Q(x)/P(x)) on every x in Y^m, which
 cannot be enumerated for large m; it is carried symbolically and marked as
 scale * H_r(P', Q') where P', Q' are the leg's measures conditioned on the
-symbols observed so far. Under a coherent forecaster this equals the exact
-mark at the announced forecast.
+symbols observed so far. Under a coherent forecaster P', Q' are the announced
+measures themselves (``child`` is memoised), so this is the exact mark at the
+announced forecast and reads the announced pair's engine.
 
 The engine is the only book of hedge legs. An order carries each leg next to
 a coefficient (a mixture weight, times a lim-wrap live weight), and the engine
@@ -56,7 +57,8 @@ class ForecastPair:
 class HedgeLeg:
     """Symbolic stake of scale * sqrt(other(x)/own(x)) on every x in Y^horizon.
 
-    Mutable: the engine that books the leg advances it one symbol at a time.
+    Mutable: the engine that books the leg advances it one symbol at a time,
+    onto the measures that coherent forecasters announce for the next step.
     """
 
     scale: float
@@ -169,9 +171,7 @@ class ProtocolState:
         return self
 
     def settle_step(self, y: int, next_forecasts: ForecastPair) -> "ProtocolState":
-        if not 0 <= int(y) < self.alphabet.size:
-            raise DomainError(f"symbol {y} outside alphabet")
-        y = int(y)
+        (y,) = self.alphabet.check_string((y,))  # before either book moves
         for side in SIDES:
             pf = self.portfolios[side]
             new: Dict[String, float] = {}

@@ -9,12 +9,13 @@ import pytest
 from mergebet.errors import BudgetExceeded, ConfigError, DomainError
 from mergebet.harness import (ExperimentConfig, TRACE_HEADER,
                               incremental_capitals, measure_from_spec,
-                              oracle_expect_capital, oracle_metrics,
+                              oracle_expect_capital, oracle_metrics, play,
                               run_experiment, run_on_path, summarize)
-from mergebet import measures
+from mergebet import measures, metrics
 from mergebet.measures import FiniteMixture, bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
-from mergebet.scenarios import catalog
+from mergebet.scenarios import catalog, make_reality
+from mergebet.strategy import MixtureSceptic
 
 FAIR = {"family": "iid", "weights": [0.5, 0.5]}
 
@@ -225,6 +226,77 @@ def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
         sceptic={"J": 8, "M_max": 8, "lim_wrap": False}, m_report=6,
         seed=16)))
     assert len(trace) == 200 and sum(per_step[200:]) > 0
+
+
+def coherent(measure):
+    return {"kind": "coherent", "measure": measure}
+
+
+def beta(*counts):
+    return {"family": "beta_learner", "pseudo_counts": list(counts)}
+
+
+#: a pair of measures per family whose forecasts part, so the Sceptic bets
+LEG_PAIRS = {
+    "iid": ({"family": "iid", "weights": [0.7, 0.3]},
+            {"family": "iid", "weights": [0.3, 0.7]}),
+    "markov": MARKOV_MIX_CHAINS,
+    "beta_learner": (beta(6.0, 1.0), beta(1.0, 6.0)),
+    "mixture": ({"family": "mixture", "weights": [0.5, 0.5],
+                 "components": [beta(6.0, 1.0), MARKOV_MIX_CHAINS[0]]},
+                {"family": "mixture", "weights": [0.9, 0.1],
+                 "components": [beta(1.0, 6.0), MARKOV_MIX_CHAINS[1]]}),
+    "conditioned": ({"family": "conditioned", "base": beta(6.0, 1.0),
+                     "prefix": [0, 0]},
+                    {"family": "conditioned", "base": beta(1.0, 6.0),
+                     "prefix": [1]}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LEG_PAIRS))
+def test_legs_step_onto_the_announced_measures(family):
+    # a leg advanced by y is the child of its measure, which the coherent
+    # forecaster announced a moment before: one object, so one pair engine
+    p, q = LEG_PAIRS[family]
+    cfg = ExperimentConfig.from_dict(tiny_config(
+        T=16, forecaster_I=coherent(p), forecaster_II=coherent(q),
+        sceptic={"J": 6, "M_max": 6}))
+    held = [0]
+
+    def check(n, y, announced, state):
+        now = state.forecasts
+        for own, other in (("I", "II"), ("II", "I")):
+            for _, leg in state.portfolios[own].legs:
+                assert leg.own is now.side(own)
+                assert leg.other is now.side(other)
+                held[0] += 1
+
+    play(cfg.forecasters(), MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget),
+         make_reality(cfg.reality, cfg.seed), cfg.t, cfg.budget, check)
+    assert held[0] > 0
+
+
+def test_a_coherent_step_builds_one_pair_engine(monkeypatch):
+    # the Sceptic's search, the legs' marks and the report read one engine
+    builds = [0]
+    init = metrics.HorizonProfile.__init__
+
+    def counted_init(self, *args, **kwargs):
+        builds[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(metrics.HorizonProfile, "__init__", counted_init)
+    cfg = ExperimentConfig.from_dict(tiny_config(
+        T=24, forecaster_I=coherent({"family": "mixture", "weights": [0.5, 0.5],
+                                     "components": MARKOV_MIX_CHAINS}),
+        forecaster_II=coherent({"family": "mixture", "weights": [0.9, 0.1],
+                                "components": MARKOV_MIX_CHAINS}),
+        reality={"kind": "sample", "measure": MARKOV_MIX_CHAINS[0]},
+        sceptic={"J": 8, "M_max": 8, "lim_wrap": False}, m_report=6,
+        seed=16))
+    trace = run_experiment(cfg)
+    assert sum(trace.component_bets) > 0
+    assert builds[0] / cfg.t <= 1.1
 
 
 def test_zero_steps_empty_trace():

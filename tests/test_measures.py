@@ -1,6 +1,8 @@
 """Measure families: one-step laws, cylinder probabilities, conditioning."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from mergebet.measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture
                                IID, Markov, Measure, bernoulli, joint_type,
                                logsumexp, type_table)
 from mergebet.metrics import DEFAULT_BUDGET
+from mergebet.scenarios import CoherentForecaster
 
 from conftest import (random_beta, random_iid, random_markov, random_measure,
                       random_simplex)
@@ -170,6 +173,36 @@ def test_sample_path_of_a_mixture_costs_linear_time(monkeypatch):
     t = 2000
     assert len(mix.sample_path(5, t)) == t
     assert calls[0] <= 2 * t  # each draw: one law per component
+
+
+def test_child_memo_keeps_no_history():
+    # a forecaster keeps its base measure alive, and each measure remembers
+    # its children; the memory is weak, so the posteriors it announced die
+    rng = np.random.default_rng(11)
+    path = [int(y) for y in rng.integers(0, 2, size=5000)]
+    classes = (BetaLearner, FiniteMixture)
+
+    def live():
+        gc.collect()
+        return [sum(type(o) is c for o in gc.get_objects()) for c in classes]
+
+    before = live()
+    bases = [BetaLearner([0.5, 0.5]), FiniteMixture(
+        [0.5, 0.5], [BetaLearner([1.0, 2.0]), BetaLearner([2.0, 1.0])])]
+    forecasters = [CoherentForecaster(base) for base in bases]
+    for forecaster in forecasters:
+        history = []
+        for n, y in enumerate(path):
+            history.append(y)
+            posterior = forecaster.conditional(history)
+            if n == 10:
+                early = weakref.ref(posterior)
+        assert posterior.child(0) is posterior.child(0)
+        del posterior
+        gc.collect()
+        assert early() is None
+    # per forecaster: its base and its last posterior, with their components
+    assert [n - b for n, b in zip(live(), before)] == [1 + 1 + 2 + 2, 1 + 1]
 
 
 def test_sample_path_negative_length():

@@ -155,6 +155,28 @@ def test_settle_rejects_bad_symbol():
         state.settle_step(5, pair)
 
 
+def test_settle_refuses_a_non_integer_symbol_and_keeps_the_books():
+    # a float is not truncated to a symbol: nothing settles, nothing moves
+    state, pair = fresh_state()
+    leg = HedgeLeg(0.5, pair.p_i, pair.p_ii, 3)
+    state.place_order("I", BetOrder({(1,): 1.0, (1, 0): 2.0}, [(1.0, leg)]))
+    state.place_order("II", BetOrder({(0,): 1.0}))
+
+    def books():
+        return [(pf.cash, dict(pf.contracts), list(pf.legs))
+                for pf in state.portfolios.values()]
+
+    kept = books()
+    for y in (1.7, 1.0, "1", None):
+        with pytest.raises(DomainError):
+            state.settle_step(y, pair)
+        assert books() == kept
+        assert (leg.scale, leg.horizon, leg.own) == (0.5, 3, pair.p_i)
+        assert state.n == 1 and state.history == ()
+    state.settle_step(1, pair)
+    assert state.portfolios["I"].contracts == {(0,): 2.0}
+
+
 def test_full_hedge_expiry_payoff(rng):
     # payoff on the realized block is K * sqrt(Q(x*)/P(x*)) / H_m
     p, q = bernoulli(0.3), bernoulli(0.7)
