@@ -23,7 +23,7 @@ rejects any parameter that would yield a zero one-step probability
 (Cromwell's rule), optionally smoothing user tables with a floor.
 
 Each family gives all strings of one type (``TypeTable``, named by
-``type_key``) one probability, its ``type_log_probs``.
+``type_key``) one probability; ``type_log_probs`` scores whole levels.
 """
 
 from __future__ import annotations
@@ -113,8 +113,9 @@ class TypeTable:
     strings one probability (Whittle 1955; Csiszar 1998), so a sum over Y^m
     collapses onto ``rows[m]``: lexicographic in their cell ``counts`` (a
     column per (context, y) of ``contexts``, y fastest; order 0 lists the
-    count vectors of m), with their ``symbols`` counts, the exact number
-    ``mult`` of strings of the type and its ``log_mult``.
+    count vectors of m), with their ``symbols`` counts, level ``depth``, the
+    exact number ``mult`` of strings of the type and its ``log_mult``; levels
+    0..m are the rows up to ``stop[m]``.
     """
 
     def __init__(self, a: int, order: int, context: String):
@@ -130,6 +131,7 @@ class TypeTable:
         self.counts = np.array(list(self._last), dtype=np.int32)
         self.symbols = np.zeros((1, a), dtype=np.int32)  # counts by symbol
         self.mult, self.stop, self.rows = [1], [1], [slice(0, 1)]  # by level
+        self.depth = np.zeros(1, dtype=np.intp)  # each row's level
         self.log_mult = self._logs(self.counts, self.mult)
 
     def reach(self, m: int, budget: int) -> int:
@@ -152,6 +154,7 @@ class TypeTable:
             new = np.vstack(new)
             self.counts = np.vstack([self.counts, new])
             self.symbols = self.counts.reshape(len(self.counts), -1, a).sum(1)
+            self.depth = self.symbols.sum(1)  # a level's strings have m symbols
             self.log_mult = np.concatenate([
                 self.log_mult, self._logs(new, self.mult[-len(new):])])
         return min(m, len(self.stop) - 1, bisect_right(self.stop, room))
@@ -209,7 +212,10 @@ class Measure:
 
     def __init__(self, alphabet: Alphabet):
         self.alphabet = alphabet
-        self._memo: dict = {}  # y -> weak child; (table key, m) -> log probs
+        self._memo: dict = {}  # y -> weak child; (table key, rows) -> log probs
+
+    def __getstate__(self) -> dict:  # the memo is a cache of weak references
+        return {**self.__dict__, "_memo": {}}
 
     @property
     def a(self) -> int:
@@ -276,15 +282,19 @@ class Measure:
         v = self.chain_view()
         return None if v is None else (v.order, v.context)
 
-    def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
-        """log P of a string of each type of level m of a table whose key
-        agrees with ``type_key``: a chain sums log P(y | context) by cell."""
-        out = self._memo.get((table.key, m))
+    def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
+        """log P of a string of each type in ``rows`` (whole levels: one, or
+        0..m) of a table whose key agrees with ``type_key``: a chain sums log
+        P(y | context) by cell, a level at a time (a product rounds by shape)."""
+        key = table.key, rows.start, rows.stop
+        out = self._memo.get(key)
         if out is None:
             v = self.chain_view()
             log_theta = np.concatenate([np.log(v.dist(_tail(c, v.order)))
                                         for c in table.contexts])
-            out = self._memo[table.key, m] = table.counts[table.rows[m]] @ log_theta
+            lo, hi = table.depth[rows.start], table.depth[rows.stop - 1]
+            out = self._memo[key] = np.concatenate([
+                table.counts[table.rows[m]] @ log_theta for m in range(lo, hi + 1)])
         return out
 
 
@@ -446,10 +456,11 @@ class BetaLearner(Measure):
     def type_key(self):
         return 0, ()
 
-    def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
-        # log rising factorials: running sums of log(alpha_y + i), last row
-        # log(alpha0 + i); log-gamma differences near n lose ~eps * n log n
+    def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
+        # running sums of log(alpha_y + i), last row log(alpha0 + i), read at
+        # each row's level (log-gamma differences near n lose ~eps * n log n)
         global _RAMP
+        m = int(table.depth[rows.stop - 1])
         cum = self._rising
         if cum is None or cum.shape[1] <= m:
             if _RAMP.size < m:
@@ -458,9 +469,9 @@ class BetaLearner(Measure):
             ends = np.empty((self.a + 1, 1))
             ends[:-1, 0], ends[-1, 0] = self._alpha, self._alpha0
             np.cumsum(np.log(ends + _RAMP[:m]), axis=1, out=cum[:, 1:])
-        c = table.symbols[table.rows[m]]
-        return reduce(np.add, [cum[y].take(c[:, y])
-                               for y in range(self.a)]) - cum[-1, m]
+        c = table.symbols[rows]
+        return reduce(np.add, [cum[y].take(c[:, y]) for y in range(self.a)]
+                      ) - cum[-1].take(table.depth[rows])
 
 
 class FiniteMixture(Measure):
@@ -505,18 +516,14 @@ class FiniteMixture(Measure):
             self._next = laws, law
         return self._next
 
-    def _posterior_logw(self, history: String) -> np.ndarray:
-        lw = self._logw + np.array([c.cylinder_log_prob(history)
-                                    for c in self.components])
-        return lw - logsumexp(lw)
-
     def one_step(self, history: String) -> np.ndarray:
         history = tuple(history)
         if not history:
             return self._laws()[1]
-        post = np.exp(self._posterior_logw(history))
+        lw = self._logw + np.array([c.cylinder_log_prob(history)
+                                    for c in self.components])
         dists = np.stack([c.one_step(history) for c in self.components])
-        return post @ dists
+        return np.exp(lw - logsumexp(lw)) @ dists
 
     def cylinder_log_prob(self, x) -> float:
         x = self.alphabet.check_string(x)
@@ -538,13 +545,13 @@ class FiniteMixture(Measure):
     def type_key(self):
         return joint_type(self.components)
 
-    def type_log_probs(self, table: TypeTable, m: int) -> np.ndarray:
+    def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
         # logsumexp of the rows, added in order as np.sum(axis=0) of a stack
-        rows = [c.type_log_probs(table, m) + v
-                for c, v in zip(self.components, self._lw)]
-        hi = reduce(np.maximum, rows)
+        lps = [c.type_log_probs(table, rows) + v
+               for c, v in zip(self.components, self._lw)]
+        hi = reduce(np.maximum, lps)
         hi = np.where(np.isfinite(hi), hi, 0.0)
-        return np.log(reduce(np.add, [np.exp(r - hi) for r in rows])) + hi
+        return np.log(reduce(np.add, [np.exp(r - hi) for r in lps])) + hi
 
 
 class Conditioned(Measure):

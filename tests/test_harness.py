@@ -190,17 +190,19 @@ MARKOV_MIX_CHAINS = [
 def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
     # a mixture's type level sums its components' rows itself; and once the
     # horizon search settles, each step scores its two fresh posteriors at
-    # two levels (the search's and the report's), no more
+    # two levels (the search's and the report's) of singular-pair's large
+    # table, and once each over every level of markov-mix's small one
     def refuse(*args, **kwargs):
         raise AssertionError("measures.logsumexp reached")
 
-    calls, per_step = [0], []
+    calls, per_step, levels = [0], [], set()
     type_log_probs, settle = (FiniteMixture.type_log_probs,
                               ProtocolState.settle_step)
 
-    def counted_type_log_probs(self, table, m):
+    def counted_type_log_probs(self, table, rows):
         calls[0] += 1
-        return type_log_probs(self, table, m)
+        levels.add(table.depth[rows.stop - 1] - table.depth[rows.start] + 1)
+        return type_log_probs(self, table, rows)
 
     def counted_settle(self, y, pair):
         per_step.append(calls[0])
@@ -215,17 +217,20 @@ def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
     run_experiment(cfg)
     assert len(per_step) == 200
     assert max(per_step[50:]) <= 4
+    assert levels == {1}  # its 2145-row table is scored a level at a time
 
     def mix(w):
         return {"kind": "coherent", "measure": {
             "family": "mixture", "weights": w, "components": MARKOV_MIX_CHAINS}}
 
+    measures.type_table.cache_clear()  # as a fresh process: no test grew it
     trace = run_experiment(ExperimentConfig.from_dict(tiny_config(
         T=200, forecaster_I=mix([0.5, 0.5]), forecaster_II=mix([0.9, 0.1]),
         reality={"kind": "sample", "measure": MARKOV_MIX_CHAINS[0]},
         sceptic={"J": 8, "M_max": 8, "lim_wrap": False}, m_report=6,
         seed=16)))
     assert len(trace) == 200 and sum(per_step[200:]) > 0
+    assert max(per_step[250:]) <= 2
 
 
 def coherent(measure):

@@ -334,7 +334,7 @@ def test_type_log_probs_match_enumeration(rng):
         m = 5
         table = type_table(p.a, *p.type_key())
         level = level_rows(table, m)
-        lp = p.type_log_probs(table, m)
+        lp = p.type_log_probs(table, level)
         row = {tuple(int(c) for c in table.counts[i]): i - level.start
                for i in range(level.start, level.stop)}
         for x in itertools.product(range(p.a), repeat=m):
@@ -403,7 +403,7 @@ def test_beta_count_route_exact_at_ten_thousand_counts():
                 for pr in priors]
     exact = [urn(pr) for pr in priors]
     for b, ps in zip(learners, exact):
-        for lp, p in zip(b.type_log_probs(table, m), ps):
+        for lp, p in zip(b.type_log_probs(table, level), ps):
             assert abs(math.exp(lp) / float(p) - 1.0) <= 1e-13
     with localcontext() as ctx:
         ctx.prec = 40
@@ -421,7 +421,7 @@ def test_beta_count_route_exact_at_ten_thousand_counts():
 
 def stacked_mixture_log_probs(mix, table, m):
     """A mixture's type level by the stacked logsumexp it replaced."""
-    rows = [c.type_log_probs(table, m) for c in mix.components]
+    rows = [c.type_log_probs(table, table.rows[m]) for c in mix.components]
     return logsumexp(np.stack(rows) + mix._logw[:, None], axis=0)
 
 
@@ -443,7 +443,7 @@ def test_mixture_type_log_probs_equal_the_stacked_logsumexp(rng):
             table = type_table(a, *mix.type_key())
             assert table.reach(12, DEFAULT_BUDGET) == 12
             for m in range(13):
-                assert np.array_equal(mix.type_log_probs(table, m),
+                assert np.array_equal(mix.type_log_probs(table, table.rows[m]),
                                       stacked_mixture_log_probs(mix, table, m))
 
 
@@ -467,8 +467,52 @@ def test_beta_type_log_probs_equal_the_rising_factorial_formula(rng):
         table = type_table(b.a, 0, ())
         for m in (0, 8, 16, 4, 0) + ((300, 5) if b.a == 2 else ()):
             assert table.reach(m, DEFAULT_BUDGET) == m
-            assert np.array_equal(b.type_log_probs(table, m),
+            assert np.array_equal(b.type_log_probs(table, table.rows[m]),
                                   rising_factorial_log_probs(b, table, m))
+
+
+def test_one_pass_over_levels_equals_each_level_bit_for_bit(rng):
+    # a pair's engine slices a small table's levels out of one pass over
+    # levels 0..top; each slice must be the level scored alone, bit for bit
+    # (a chain's product rounds by its shape, so it multiplies by level)
+    for a in (2, 3):
+        order1 = random_markov(rng, a, order=1).condition((0, 1))
+        order2 = random_markov(rng, a, order=2).condition((2 % a, 1))
+        pool = [random_iid(rng, a), random_beta(rng, a), order1, order2]
+        mixes = [FiniteMixture(random_simplex(rng, 2, lo=1e-3), pair)
+                 for pair in ((pool[0], pool[1]), (pool[0], order1),
+                              (pool[1], order2), (order1, order2))]
+        mixes.append(FiniteMixture([0.2, 0.3, 0.5], [mixes[3], *pool[:2]]))
+        for x in pool + mixes + [mixes[4].condition((1, 0, 1))]:
+            table = type_table(a, *x.type_key())
+            for top in (4, 8, 12):
+                assert table.reach(top, DEFAULT_BUDGET) == top
+                every = x.type_log_probs(table, slice(0, table.stop[top]))
+                assert len(every) == table.stop[top]
+                for m in range(top + 1):
+                    assert np.array_equal(
+                        every[table.rows[m]],
+                        x.type_log_probs(table, table.rows[m])), (a, x, m)
+
+
+@pytest.mark.parametrize("family", ["iid", "markov", "beta_learner",
+                                    "mixture", "conditioned"])
+def test_a_stepped_measure_pickles(family):
+    # a measure's memo holds weak references to its children; it is only a
+    # cache, so pickling leaves it out and the copy starts with an empty one
+    import pickle
+    chain = Markov([[0.9, 0.1], [0.3, 0.7]], initial=[0.5, 0.5])
+    x = {"iid": bernoulli(0.3), "markov": chain,
+         "beta_learner": BetaLearner([0.5, 2.0]),
+         "mixture": FiniteMixture([0.4, 0.6], [chain, BetaLearner([1.0, 1.0])]),
+         "conditioned": Conditioned(BetaLearner([2.0, 1.0]), (1,))}[family]
+    x = x.child(1)
+    stepped = x.child(0), x.child(1)
+    copy = pickle.loads(pickle.dumps(x))
+    assert np.array_equal(copy.one_step(()), x.one_step(()))
+    for s in ((), (0,), (1, 0, 1)):
+        assert copy.cylinder_log_prob(s) == x.cylinder_log_prob(s)
+    assert np.array_equal(copy.child(0).one_step(()), stepped[0].one_step(()))
 
 
 def test_type_keys():
