@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import BudgetExceeded, ConfigError, DomainError
-from .measures import (BetaLearner, Conditioned, FiniteMixture, IID, Markov,
-                       Measure, String)
+from .measures import (BetaLearner, FiniteMixture, IID, Markov, Measure,
+                       String)
 from .metrics import (DEFAULT_BUDGET, HorizonProfile, hellinger_restricted,
                       tv_restricted)
 from .protocol import ForecastPair, ProtocolState
@@ -69,8 +69,8 @@ def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
             m = FiniteMixture(spec["weights"], comps)
         elif fam == "conditioned":
             base = measure_from_spec(spec["base"], alphabet_size, f"{where}.base")
-            m = Conditioned(base, _symbols(spec["prefix"], alphabet_size,
-                                           f"{where}.prefix"))
+            m = base.condition(_symbols(spec["prefix"], alphabet_size,
+                                        f"{where}.prefix"))
         else:
             raise ConfigError(f"{where}: unknown measure family {fam!r}")
     except KeyError as e:

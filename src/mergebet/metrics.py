@@ -16,7 +16,7 @@ three routes that fits its measures, and is picked in this module alone:
 no chain form). Measures are immutable, so ``pair_profile`` finds the
 engines of the last few pairs again by the identity of the two measures, in
 either order: legs step onto the announced measures (``child`` is memoised),
-so a coherent step's report, horizon searches and leg marks read one engine.
+so a coherent step's report, horizon search and leg marks read one engine.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def _walk_sums(measures: Sequence[Measure], m: int, budget: int,
 # -- the pair engine ----------------------------------------------------------
 
 class HorizonProfile:
-    """Metrics engine of one ordered pair: memoised H_m and TV_m, and a
-    bisection for the first m with H_m (non-increasing) below a threshold."""
+    """Metrics engine of one ordered pair: memoised H_m and TV_m, and the
+    first m with H_m (non-increasing) below each of several thresholds."""
 
     #: searches cut short by the enumeration budget, summed over all engines
     capped_searches = 0
@@ -206,31 +206,40 @@ class HorizonProfile:
         """Total variation of the horizon-m restrictions; in [0, 2]."""
         return self._read(m, 1)
 
-    def find_below(self, threshold: float, m_max: int) -> Optional[int]:
-        """Smallest m <= m_max with H_m < threshold (strict), else None.
+    def search(self, thresholds: Sequence[float], m_max: int
+               ) -> List[Optional[int]]:
+        """For each threshold, the smallest m <= m_max with H_m < threshold
+        (strict), else None. The cap check and H_{m_max} are read once; each
+        bisection probes as if alone (a computed H_m may not be monotone).
 
         Off the chain route the search stops at the deepest horizon that the
-        type table or the walk affords within the budget, and counts itself
-        in ``capped_searches`` when that is short of m_max.
+        type table or the walk affords within the budget, and counts each
+        threshold in ``capped_searches`` when that is short of m_max.
         """
-        if m_max < 1:
-            return None
+        if m_max < 1 or not thresholds:
+            return [None] * len(thresholds)
         if self._chain is None and self._level(m_max) is None:
             top, cap = m_max, _max_horizon(self.p.a, self.budget)
             while m_max > cap and self._level(m_max) is None:
                 m_max -= 1
             if m_max < top:
-                HorizonProfile.capped_searches += 1
-        if m_max < 1 or not self.h(m_max) < threshold:
-            return None
-        lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.h(mid) < threshold:
-                hi = mid
-            else:
-                lo = mid
-        return hi
+                HorizonProfile.capped_searches += len(thresholds)
+        h_top = self.h(m_max) if m_max else math.inf  # no horizon afforded
+        found = []
+        for threshold in thresholds:
+            lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
+            while hi - lo > 1 and h_top < threshold:
+                mid = (lo + hi) // 2
+                if self.h(mid) < threshold:
+                    hi = mid
+                else:
+                    lo = mid
+            found.append(hi if h_top < threshold else None)
+        return found
+
+    def find_below(self, threshold: float, m_max: int) -> Optional[int]:
+        """Smallest m <= m_max with H_m < threshold (strict), else None."""
+        return self.search((threshold,), m_max)[0]
 
 
 #: engines of the pairs met last, oldest first, by (id(p), id(q), budget); an
@@ -248,6 +257,7 @@ def pair_profile(p: Measure, q: Measure,
     key = (id(p), id(q), budget)
     engine = _ENGINES.get(key) or _ENGINES.get((id(q), id(p), budget))
     if engine is None:
+        _check(0, p, q)
         if len(_ENGINES) >= ENGINE_CACHE_SIZE:
             del _ENGINES[next(iter(_ENGINES))]
         engine = _ENGINES[key] = HorizonProfile(p, q, budget)
@@ -267,8 +277,7 @@ def _check(m: int, p: Measure, *others: Measure) -> None:
 def hellinger_restricted(p: Measure, q: Measure, m: int,
                          budget: int = DEFAULT_BUDGET) -> float:
     """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
-    if m < 0 or p.a != q.a:  # inline, as every leg's mark passes here
-        _check(m, p, q)
+    _check(m, p, q)
     return pair_profile(p, q, budget).h(m)
 
 

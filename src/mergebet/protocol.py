@@ -22,7 +22,8 @@ announced forecast and reads the announced pair's engine.
 The engine is the only book of hedge legs. An order carries each leg next to
 a coefficient (a mixture weight, times a lim-wrap live weight), and the engine
 books that very object: ``settle_step`` is the one place a leg advances, and a
-strategy that built the leg reads its state from it.
+strategy that built the leg reads its state from it. A mark reads, and a
+settlement steps, each distinct pair (own, other) of its legs once.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, PhaseError
 from .measures import Alphabet, Measure, String
-from .metrics import DEFAULT_BUDGET, hellinger_restricted
+from .metrics import DEFAULT_BUDGET, hellinger_restricted, pair_profile
 
 SIDES = ("I", "II")
 
@@ -70,16 +71,20 @@ class HedgeLeg:
         return self.scale * hellinger_restricted(self.own, self.other,
                                                  self.horizon, budget=budget)
 
-    def advance(self, y: int) -> Optional[float]:
+    def advance(self, y: int, step: Optional[tuple] = None) -> Optional[float]:
         """Observe one symbol, already checked against the alphabet; returns
-        the cash payoff if the leg expires."""
-        p = self.own.one_step(())[y]
-        q = self.other.one_step(())[y]
-        self.scale *= math.sqrt(q / p)
-        self.own = self.own.child(y)
-        self.other = self.other.child(y)
+        the cash payoff if the leg expires. Legs of one pair share ``step``."""
+        ratio, self.own, self.other = step or leg_step(self.own, self.other, y)
+        self.scale *= ratio
         self.horizon -= 1
         return self.scale if self.horizon == 0 else None
+
+
+def leg_step(own: Measure, other: Measure, y: int
+             ) -> Tuple[float, Measure, Measure]:
+    """sqrt(other(y)/own(y)) and the children of own and other at y."""
+    return (math.sqrt(other.one_step(())[y] / own.one_step(())[y]),
+            own.child(y), other.child(y))
 
 
 #: a hedge leg held at a coefficient: the position is coef * leg
@@ -121,7 +126,15 @@ def order_cost(order: BetOrder, forecast: Measure,
     """Purchase cost of the order at the forecast's quoted prices."""
     cost = math.fsum(v * math.exp(forecast.cylinder_log_prob(x))
                      for x, v in order.stakes.items())
-    return cost + math.fsum(k * leg.value(budget) for k, leg in order.legs)
+    engines, marks = {}, []
+    for k, leg in order.legs:
+        if leg.horizon < 0:
+            raise DomainError("horizon must be >= 0")
+        pair = leg.own, leg.other
+        engine = engines.get(pair) or engines.setdefault(
+            pair, pair_profile(*pair, budget))
+        marks.append(k * (leg.scale * engine.h(leg.horizon)))
+    return cost + math.fsum(marks)
 
 
 @dataclass
@@ -172,6 +185,7 @@ class ProtocolState:
 
     def settle_step(self, y: int, next_forecasts: ForecastPair) -> "ProtocolState":
         (y,) = self.alphabet.check_string((y,))  # before either book moves
+        steps: Dict[tuple, tuple] = {}  # (own, other) -> its leg_step at y
         for side in SIDES:
             pf = self.portfolios[side]
             new: Dict[String, float] = {}
@@ -186,7 +200,9 @@ class ProtocolState:
             pf.contracts = new
             kept = []
             for k, leg in pf.legs:
-                payoff = leg.advance(y)
+                pair = leg.own, leg.other
+                payoff = leg.advance(y, steps.get(pair) or steps.setdefault(
+                    pair, leg_step(*pair, y)))
                 if payoff is None:
                     kept.append((k, leg))
                 else:

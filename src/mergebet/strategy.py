@@ -10,9 +10,10 @@ completed cycle grows the geometric-mean capital outcome-independently.
 
 The full Sceptic is the 2^-j-weighted mixture of components for
 epsilon = 2^-j, j = 1..J, truncated at J with the residual weight held as
-cash. ``lim_wrap`` converts an unbounded capital path into a divergent one
-by splitting capital across doubling-threshold accounts that freeze once
-they hit their target.
+cash; each step one search of the announced pair's engine answers every idle
+component's threshold 1 - epsilon. ``lim_wrap`` converts an unbounded
+capital path into a divergent one by splitting capital across
+doubling-threshold accounts that freeze once they hit their target.
 
 The protocol engine holds the only book of hedge legs. A component's order
 carries the legs it built, at a coefficient (its mixture weight, times the
@@ -96,7 +97,7 @@ class EpsilonComponent:
         #: the open cycle's legs against forecaster I and II, or None
         self.legs: Optional[Tuple[HedgeLeg, HedgeLeg]] = None
         self._cycle = (0, 1.0)  # horizon and H_m of the open cycle
-        self._step = 0
+        self._step = 0  # calls of its own step_orders
         self.bet_steps: List[int] = []
         self.cycles: List[CycleRecord] = []
 
@@ -115,14 +116,18 @@ class EpsilonComponent:
         if m is None:
             return None
         h = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget).h(m)
+        self.open_cycle(forecasts, m, h, self._step)
+        return BetOrder(legs=[(1.0, self.legs[0])]), \
+            BetOrder(legs=[(1.0, self.legs[1])])
+
+    def open_cycle(self, forecasts: ForecastPair, m: int, h: float, step: int):
+        """Stake the whole capital on legs of horizon m (H_m = h) at step."""
         self.legs = (HedgeLeg(self.capital_i / h, forecasts.p_i,
                               forecasts.p_ii, m),
                      HedgeLeg(self.capital_ii / h, forecasts.p_ii,
                               forecasts.p_i, m))
         self._cycle = (m, h)
-        self.bet_steps.append(self._step)
-        return BetOrder(legs=[(1.0, self.legs[0])]), \
-            BetOrder(legs=[(1.0, self.legs[1])])
+        self.bet_steps.append(step)
 
     def settle(self) -> None:
         """Close the open cycle once the engine has run its legs to expiry."""
@@ -149,6 +154,8 @@ class MixtureSceptic:
                  budget: int = DEFAULT_BUDGET):
         if j_max < 1:
             raise DomainError("need at least one component")
+        if m_max < 1:
+            raise DomainError("m_max must be >= 1")
         self.m_max = m_max
         self.budget = budget
         self.weights = [2.0 ** -(j + 1) for j in range(j_max)]
@@ -157,15 +164,22 @@ class MixtureSceptic:
         self.reserve = 1.0 - sum(self.weights)
         self.last_bets_placed = False
         self.last_active = 0
+        self._step = 0
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
+        self._step += 1
+        engine = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget)
+        idle = [(w, c) for w, c in zip(self.weights, self.components)
+                if not c.holding]
+        found = engine.search([1.0 - c.epsilon for _, c in idle], self.m_max)
         legs_i, legs_ii = [], []
-        for w, comp in zip(self.weights, self.components):
-            if comp.step_orders(forecasts, self.m_max) is not None:
+        for (w, comp), m in zip(idle, found):
+            if m is not None:
+                comp.open_cycle(forecasts, m, engine.h(m), self._step)
                 legs_i.append((w, comp.legs[0]))
                 legs_ii.append((w, comp.legs[1]))
         self.last_bets_placed = bool(legs_i)
-        self.last_active = sum(1 for c in self.components if c.holding)
+        self.last_active = len(self.components) - len(idle) + len(legs_i)
         return BetOrder(legs=legs_i), BetOrder(legs=legs_ii)
 
     def settle(self, y: int) -> None:

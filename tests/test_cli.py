@@ -164,8 +164,8 @@ def test_exit_code_budget_exceeded(tmp_path):
 
 
 def test_exit_code_budget_exceeded_for_an_untyped_report_pair(tmp_path):
-    # a conditioned learner has neither a chain view nor a type, so its
-    # report rows take the walk, which this budget affords to m = 4 only
+    # this budget affords the pair's type table to m = 2 and the walk to
+    # m = 4, so a report row at m = 5 exceeds it
     learner = {"family": "conditioned", "prefix": [1],
                "base": {"family": "beta_learner", "pseudo_counts": [1, 1]}}
     d = tiny_config(m_report=5, budget=2 ** 4)

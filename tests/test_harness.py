@@ -11,8 +11,8 @@ from mergebet.harness import (ExperimentConfig, TRACE_HEADER,
                               incremental_capitals, measure_from_spec,
                               oracle_expect_capital, oracle_metrics, play,
                               run_experiment, run_on_path, summarize)
-from mergebet import measures, metrics
-from mergebet.measures import FiniteMixture, bernoulli
+from mergebet import measures, metrics, protocol, strategy
+from mergebet.measures import Conditioned, FiniteMixture, IID, bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
 from mergebet.scenarios import catalog, make_reality
 from mergebet.strategy import MixtureSceptic
@@ -56,6 +56,39 @@ def test_measure_from_spec_families():
     m = measure_from_spec({"family": "conditioned", "base": FAIR,
                            "prefix": [1]}, 2)
     np.testing.assert_allclose(m.one_step(()), [0.5, 0.5])
+
+
+@pytest.mark.parametrize("base", [
+    {"family": "beta_learner", "pseudo_counts": [2.0, 0.5]},
+    {"family": "mixture", "weights": [0.3, 0.7], "components": [
+        {"family": "beta_learner", "pseudo_counts": [1.0, 3.0]},
+        {"family": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]}]}])
+def test_conditioned_config_is_the_posterior_of_its_base(base):
+    # the family's own one-symbol steps give the law of Conditioned, typed
+    prefix = [0, 1, 1]
+    built = measure_from_spec({"family": "conditioned", "base": base,
+                               "prefix": prefix}, 2)
+    wrapped = Conditioned(measure_from_spec(base, 2), prefix)
+    assert built.type_key() is not None and wrapped.type_key() is None
+    for x in [(), (0,), (1, 0), (1, 1, 0), (0, 0, 1, 1)]:
+        np.testing.assert_allclose(built.one_step(x), wrapped.one_step(x),
+                                   rtol=0, atol=1e-15)
+        assert abs(built.cylinder_log_prob(x)
+                   - wrapped.cylinder_log_prob(x)) <= 1e-15
+
+
+def test_a_conditioned_config_never_walks_the_tree(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("metrics.tree_walk reached")
+
+    monkeypatch.setattr(metrics, "tree_walk", refuse)
+    d = catalog()["merge-beta"]
+    for side in ("forecaster_I", "forecaster_II"):
+        d[side]["measure"] = {"family": "conditioned", "prefix": [0],
+                              "base": d[side]["measure"]}
+    cfg = ExperimentConfig.from_dict(d)
+    cfg.t = 40
+    assert len(run_experiment(cfg)) == 40
 
 
 def test_config_error_paths():
@@ -164,9 +197,9 @@ def test_engine_is_the_only_book_of_hedge_legs(monkeypatch):
     advances, held = [], []
     advance, settle = HedgeLeg.advance, ProtocolState.settle_step
 
-    def counted_advance(self, y):
+    def counted_advance(self, y, step=None):
         advances.append(y)
-        return advance(self, y)
+        return advance(self, y, step)
 
     def counted_settle(self, y, pair):
         held.append(sum(len(pf.legs) for pf in self.portfolios.values()))
@@ -302,6 +335,45 @@ def test_a_coherent_step_builds_one_pair_engine(monkeypatch):
     trace = run_experiment(cfg)
     assert sum(trace.component_bets) > 0
     assert builds[0] / cfg.t <= 1.1
+
+
+def test_a_diverge_step_reads_the_announced_pair_once_per_use(monkeypatch):
+    # one engine read for the Sceptic's search, one per leg pair in each mark
+    # and the report's two, and one step per leg pair in each settlement,
+    # however many legs are open
+    lookups, settles, held = [0], [], []
+    lookup, one_step = metrics.pair_profile, IID.one_step
+    settle = ProtocolState.settle_step
+
+    def counted_lookup(*args, **kwargs):
+        lookups[0] += 1
+        return lookup(*args, **kwargs)
+
+    def counted_one_step(self, history):
+        if settles and settles[-1][1] is None:
+            settles[-1][0] += 1
+        return one_step(self, history)
+
+    def counted_settle(self, y, pair):
+        held.append(sum(len(pf.legs) for pf in self.portfolios.values()))
+        settles.append([0, None])
+        out = settle(self, y, pair)
+        settles[-1][1] = lookups[0]
+        lookups[0] = 0
+        return out
+
+    for mod in (metrics, strategy, protocol):
+        monkeypatch.setattr(mod, "pair_profile", counted_lookup)
+    monkeypatch.setattr(IID, "one_step", counted_one_step)
+    monkeypatch.setattr(ProtocolState, "settle_step", counted_settle)
+    cfg = ExperimentConfig.load("diverge-iid")
+    cfg.t = 300
+    assert cfg.j_max == 10
+    trace = run_experiment(cfg)
+    assert sum(trace.component_bets) > 0 and max(held) >= 10
+    assert len(settles) == 300
+    assert max(n for _, n in settles) <= 7  # the parent made 34 a step
+    assert max(n for n, _ in settles) <= 4
 
 
 def test_zero_steps_empty_trace():

@@ -261,6 +261,55 @@ def test_find_below_searches_every_horizon_the_budget_affords():
     assert HorizonProfile(*mixes, budget).find_below(threshold, 8) == 5
 
 
+#: a pair per route of the pair engine, each parting within m = 12
+SEARCH_PAIRS = {
+    "chain-rho": (bernoulli(0.4), bernoulli(0.6)),
+    "chain-order1": (Markov([[0.9, 0.1], [0.3, 0.7]], initial=[0.5, 0.5]),
+                     Markov([[0.6, 0.4], [0.5, 0.5]], initial=[0.3, 0.7])),
+    "type-beta": (BetaLearner([3.0, 1.0]), BetaLearner([1.0, 2.0])),
+    "type-mixture": (
+        FiniteMixture([0.5, 0.5], [bernoulli(0.2), bernoulli(0.7)]),
+        FiniteMixture([0.9, 0.1], [bernoulli(0.2), bernoulli(0.7)])),
+    "walk-untyped": (Untyped(FiniteMixture([0.5, 0.5], [bernoulli(0.2),
+                                                         bernoulli(0.7)])),
+                     Untyped(bernoulli(0.45))),
+}
+
+
+@pytest.mark.parametrize("route", sorted(SEARCH_PAIRS))
+def test_search_equals_one_find_below_per_threshold(route):
+    # the Sceptic's thresholds 1 - 2^-j and a few between, in one search
+    p, q = SEARCH_PAIRS[route]
+    thresholds = ([1.0 - 2.0 ** -j for j in range(1, 21)]
+                  + [float(t) for t in np.linspace(0.05, 0.999, 9)])
+    engine = HorizonProfile(p, q)
+    picked = ("chain" if engine._chain is not None
+              else "type" if engine._level(12) is not None else "walk")
+    assert route.startswith(picked)
+    want = [engine.find_below(t, 12) for t in thresholds]
+    got = HorizonProfile(p, q).search(thresholds, 12)
+    assert got == want
+    assert None in got and any(m is not None for m in got)
+    assert HorizonProfile(p, q).search([], 12) == []
+
+
+def test_a_capped_search_counts_each_threshold():
+    uniform = Markov(np.full((3, 3), 1 / 3), initial=np.full(3, 1 / 3))
+    sticky = Markov(np.full((3, 3), 0.25) + 0.25 * np.eye(3),
+                    initial=np.full(3, 1 / 3))
+    p, q = (Untyped(FiniteMixture(w, [uniform, sticky]))
+            for w in ([0.5, 0.5], [0.9, 0.1]))
+    budget = 3 ** 5  # affords m = 5 of M_max = 8
+    engine = HorizonProfile(p, q, budget)
+    thresholds = [0.5 * (engine.h(m - 1) + engine.h(m)) for m in (2, 3, 5)]
+    thresholds.append(0.5 * engine.h(5))  # below every affordable H_m
+    want = [engine.find_below(t, 8) for t in thresholds]
+    assert want == [2, 3, 5, None]
+    capped = HorizonProfile.capped_searches
+    assert HorizonProfile(p, q, budget).search(thresholds, 8) == want
+    assert HorizonProfile.capped_searches == capped + len(thresholds)
+
+
 # -- the pair engine ------------------------------------------------------------
 
 
@@ -345,7 +394,7 @@ def test_reversed_pair_reads_the_same_engine(rng):
              "order-0 types": (random_beta(rng), random_mixture(rng)),
              "order-2 types": (mixture_of_chains(rng, 2, 1, 2),
                                mixture_of_chains(rng, 2, 2, 3)),
-             "walk": (Untyped(random_beta(rng)), random_mixture(rng))}
+             "walk-untyped": (Untyped(random_beta(rng)), random_mixture(rng))}
     for route, (p, q) in pairs.items():
         assert pair_profile(q, p) is pair_profile(p, q), route
         forward, backward = HorizonProfile(p, q), HorizonProfile(q, p)

@@ -7,7 +7,7 @@ import pytest
 
 from mergebet.errors import DomainError, PhaseError
 from mergebet.harness import incremental_capitals
-from mergebet.measures import Alphabet, bernoulli
+from mergebet.measures import Alphabet, IID, bernoulli
 from mergebet.metrics import hellinger_restricted
 from mergebet.protocol import (BetOrder, ForecastPair, HedgeLeg, ProtocolState,
                                order_cost)
@@ -47,6 +47,15 @@ def test_hedge_costs_its_capital(rng):
 def test_stake_on_empty_string_rejected():
     with pytest.raises(DomainError):
         BetOrder({(): 1.0})
+
+
+def test_a_leg_is_marked_only_at_a_horizon_on_one_alphabet():
+    p = bernoulli(0.4)
+    for other, m in ((bernoulli(0.6), -1), (IID([0.2, 0.3, 0.5]), 2)):
+        state, _ = fresh_state()
+        with pytest.raises(DomainError):
+            state.place_order("I", BetOrder(legs=[(1.0, HedgeLeg(1.0, p,
+                                                                 other, m))]))
 
 
 def test_order_scale_and_zero():

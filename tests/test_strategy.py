@@ -258,6 +258,12 @@ def test_mixture_requires_component():
         MixtureSceptic(j_max=0)
 
 
+def test_mixture_validates_m_max_at_construction():
+    # its one search a step bypasses find_horizon's check
+    with pytest.raises(DomainError):
+        MixtureSceptic(j_max=3, m_max=0)
+
+
 # -- lim wrap -----------------------------------------------------------------
 
 
