@@ -19,7 +19,7 @@ from .scenarios import (ForecasterSpec, RealitySpec, catalog, make_forecaster,
                         make_reality)
 from .strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
                        LimWrappedSceptic, MixtureSceptic, build_hedge,
-                       find_horizon, wrap_capital_path)
+                       wrap_capital_path)
 from .harness import (ExperimentConfig, Trace, incremental_capitals,
                       oracle_expect_capital, oracle_metrics, play,
                       run_experiment, run_on_path, summarize)

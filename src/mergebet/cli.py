@@ -9,7 +9,6 @@ Exit codes: 0 success, 1 check failed, 2 config error, 3 Cromwell violation,
 from __future__ import annotations
 
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -57,8 +56,10 @@ def sweep(config, seeds, out):
     cfg = ExperimentConfig.load(config)
     try:
         lo, hi = (int(s) for s in seeds.split(".."))
+        if lo > hi:
+            raise ValueError("empty range")
     except ValueError:
-        raise ConfigError(f"--seeds must look like a..b, got {seeds!r}")
+        raise ConfigError(f"--seeds must be a range a..b, a <= b: {seeds!r}")
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     for seed in range(lo, hi + 1):

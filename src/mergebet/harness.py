@@ -98,7 +98,8 @@ def _forecaster_spec(d: dict, alphabet_size: int, where: str) -> ForecasterSpec:
     raise ConfigError(f"{where}.kind: unknown forecaster kind {d['kind']!r}")
 
 
-def _reality_spec(d: dict, alphabet_size: int, where: str) -> RealitySpec:
+def _reality_spec(d: dict, alphabet_size: int, t: int, where: str
+                  ) -> RealitySpec:
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = d["kind"]
@@ -109,8 +110,11 @@ def _reality_spec(d: dict, alphabet_size: int, where: str) -> RealitySpec:
         return RealitySpec("sample", measure=measure_from_spec(
             d.get("measure"), alphabet_size, f"{where}.measure"), seed=seed)
     if kind == "scripted":
-        return RealitySpec("scripted", string=_symbols(
-            d.get("string"), alphabet_size, f"{where}.string"))
+        string = _symbols(d.get("string"), alphabet_size, f"{where}.string")
+        if len(string) < t:
+            raise ConfigError(f"{where}.string: {len(string)} symbols for "
+                              f"T = {t} steps")
+        return RealitySpec("scripted", string=string)
     if kind == "switch_at":
         return RealitySpec(
             "switch_at", step=_integer(d.get("step"), f"{where}.step", 0),
@@ -145,6 +149,7 @@ class ExperimentConfig:
             if key not in d:
                 raise ConfigError(f"missing field {key!r}")
         a = _integer(d["alphabet_size"], "alphabet_size", 1)
+        t = _integer(d["T"], "T", 0)
         sceptic = d.get("sceptic", {})
         if not isinstance(sceptic, dict):
             raise ConfigError("sceptic: must be an object")
@@ -154,11 +159,11 @@ class ExperimentConfig:
         # an m_report past the walk's budget is no error here: the chain and
         # type routes serve it, and an untyped pair raises BudgetExceeded
         return ExperimentConfig(
-            alphabet_size=a, t=_integer(d["T"], "T", 0),
+            alphabet_size=a, t=t,
             forecaster_i=_forecaster_spec(d.get("forecaster_I"), a, "forecaster_I"),
             forecaster_ii=_forecaster_spec(d.get("forecaster_II"), a,
                                            "forecaster_II"),
-            reality=_reality_spec(d.get("reality"), a, "reality"),
+            reality=_reality_spec(d.get("reality"), a, t, "reality"),
             j_max=_integer(sceptic.get("J", 20), "sceptic.J", 1),
             m_max=_integer(sceptic.get("M_max", 64), "sceptic.M_max", 1),
             lim_wrap=lim_wrap,
@@ -212,7 +217,6 @@ class Trace:
     component_epsilons: List[float] = field(default_factory=list)
     component_bets: List[int] = field(default_factory=list)
     component_bet_steps: List[List[int]] = field(default_factory=list)
-    wrapped_log2: Optional[Tuple[float, float]] = None
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -273,20 +277,23 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     sceptic = LimWrappedSceptic(mixture) if cfg.lim_wrap else mixture
     trace = Trace(component_epsilons=[c.epsilon for c in mixture.components])
 
-    def record(n: int, y: int, pair: ForecastPair, state: ProtocolState):
+    def record(n: int, y: int, pair: ForecastPair, book):
         # after the horizon search, so an enumerated pair is walked once
         h_m = hellinger_restricted(pair.p_i, pair.p_ii, cfg.m_report,
                                    budget=cfg.budget)
         tv_m = tv_restricted(pair.p_i, pair.p_ii, cfg.m_report, cfg.budget)
-        lk1 = state.log2_capital("I")
-        lk2 = state.log2_capital("II")
+        lk1 = book.log2_capital("I")
+        lk2 = book.log2_capital("II")
         trace.rows.append(TraceRow(
             n, y, h_m, tv_m, lk1, lk2, 0.5 * (lk1 + lk2),
             mixture.last_active, int(mixture.last_bets_placed)))
 
+    on_step = record  # rows read the engine's book, or the wrapped capital
+    if cfg.lim_wrap:
+        on_step = lambda n, y, pair, state: record(n, y, pair, sceptic)
     capped = HorizonProfile.capped_searches
     play(cfg.forecasters(), sceptic, make_reality(cfg.reality, cfg.seed),
-         cfg.t, cfg.budget, record)
+         cfg.t, cfg.budget, on_step)
     capped = HorizonProfile.capped_searches - capped
     if capped:
         logging.getLogger(__name__).warning(
@@ -294,10 +301,6 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
             "terms (M_max %d)", capped, cfg.budget, cfg.m_max)
     trace.component_bet_steps = [c.bet_steps for c in mixture.components]
     trace.component_bets = [len(s) for s in trace.component_bet_steps]
-    if cfg.lim_wrap:
-        trace.wrapped_log2 = (
-            math.log2(max(sceptic.capital("I"), 1e-300)),
-            math.log2(max(sceptic.capital("II"), 1e-300)))
     return trace
 
 

@@ -237,10 +237,6 @@ class HorizonProfile:
             found.append(hi if h_top < threshold else None)
         return found
 
-    def find_below(self, threshold: float, m_max: int) -> Optional[int]:
-        """Smallest m <= m_max with H_m < threshold (strict), else None."""
-        return self.search((threshold,), m_max)[0]
-
 
 #: engines of the pairs met last, oldest first, by (id(p), id(q), budget); an
 #: entry holds its measures, so no other object can take an id in its key

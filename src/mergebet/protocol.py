@@ -20,10 +20,10 @@ measures themselves (``child`` is memoised), so this is the exact mark at the
 announced forecast and reads the announced pair's engine.
 
 The engine is the only book of hedge legs. An order carries each leg next to
-a coefficient (a mixture weight, times a lim-wrap live weight), and the engine
-books that very object: ``settle_step`` is the one place a leg advances, and a
-strategy that built the leg reads its state from it. A mark reads, and a
-settlement steps, each distinct pair (own, other) of its legs once.
+a coefficient (the component's mixture weight), and the engine books that
+very object: ``settle_step`` is the one place a leg advances, and a strategy
+that built the leg reads its state from it. A mark reads, and a settlement
+steps, each distinct pair (own, other) of its legs once.
 """
 
 from __future__ import annotations
@@ -115,10 +115,6 @@ class BetOrder:
 
     def is_zero(self) -> bool:
         return not self.legs and all(v == 0.0 for v in self.stakes.values())
-
-    def scaled(self, c: float) -> "BetOrder":
-        return BetOrder({x: c * v for x, v in self.stakes.items()},
-                        [(k * c, leg) for k, leg in self.legs])
 
 
 def order_cost(order: BetOrder, forecast: Measure,

@@ -13,20 +13,20 @@ epsilon = 2^-j, j = 1..J, truncated at J with the residual weight held as
 cash; each step one search of the announced pair's engine answers every idle
 component's threshold 1 - epsilon. ``lim_wrap`` converts an unbounded
 capital path into a divergent one by splitting capital across
-doubling-threshold accounts that freeze once they hit their target.
+doubling-threshold accounts that freeze once they hit their target; it
+transforms the mixture's capital and places no order of its own.
 
 The protocol engine holds the only book of hedge legs. A component's order
-carries the legs it built, at a coefficient (its mixture weight, times the
-lim-wrap live weight) rather than as rescaled copies; the engine advances
-them, and each component derives its capital and its cycle records from
-those same legs. The Sceptic's ``settle`` runs after the engine's, and only
-closes expired cycles and updates lim-wrap.
+carries the legs it built, at its mixture weight rather than as rescaled
+copies; the engine advances them, and each component derives its capital and
+its cycle records from those same legs. The Sceptic's ``settle`` runs after
+the engine's, and only closes expired cycles and updates lim-wrap.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError
@@ -34,21 +34,6 @@ from .measures import Measure
 from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
                       tree_walk)
 from .protocol import BetOrder, ForecastPair, HedgeLeg
-
-
-def find_horizon(p: Measure, q: Measure, epsilon: float, m_max: int,
-                 budget: int = DEFAULT_BUDGET) -> Optional[int]:
-    """Smallest m <= m_max with H_m(p, q) < 1 - epsilon strictly, else None.
-
-    Any returned m certifies that the full-horizon affinity is below
-    1 - epsilon, since H_m decreases to it; None means no certificate exists
-    within the search cap (or the enumeration budget, which is logged).
-    """
-    if not 0.0 < epsilon < 1.0:
-        raise DomainError("epsilon must lie in (0, 1)")
-    if m_max < 1:
-        raise DomainError("m_max must be >= 1")
-    return pair_profile(p, q, budget).find_below(1.0 - epsilon, m_max)
 
 
 def build_hedge(p_own: Measure, p_other: Measure, m: int, k: float,
@@ -97,28 +82,12 @@ class EpsilonComponent:
         #: the open cycle's legs against forecaster I and II, or None
         self.legs: Optional[Tuple[HedgeLeg, HedgeLeg]] = None
         self._cycle = (0, 1.0)  # horizon and H_m of the open cycle
-        self._step = 0  # calls of its own step_orders
         self.bet_steps: List[int] = []
         self.cycles: List[CycleRecord] = []
 
     @property
     def holding(self) -> bool:
         return self.legs is not None
-
-    def step_orders(self, forecasts: ForecastPair, m_max: int
-                    ) -> Optional[Tuple[BetOrder, BetOrder]]:
-        """Orders for the current step; None while holding or idle."""
-        self._step += 1
-        if self.holding:
-            return None
-        m = find_horizon(forecasts.p_i, forecasts.p_ii, self.epsilon, m_max,
-                         self.budget)
-        if m is None:
-            return None
-        h = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget).h(m)
-        self.open_cycle(forecasts, m, h, self._step)
-        return BetOrder(legs=[(1.0, self.legs[0])]), \
-            BetOrder(legs=[(1.0, self.legs[1])])
 
     def open_cycle(self, forecasts: ForecastPair, m: int, h: float, step: int):
         """Stake the whole capital on legs of horizon m (H_m = h) at step."""
@@ -226,10 +195,6 @@ class LimWrap:
                 else w * base_capital
         return total
 
-    @property
-    def frozen_total(self) -> float:
-        return math.fsum(v for v in self.frozen if v is not None)
-
 
 def wrap_capital_path(path: Sequence[float],
                       cfg: LimWrapConfig = LimWrapConfig()) -> List[float]:
@@ -239,30 +204,26 @@ def wrap_capital_path(path: Sequence[float],
 
 
 class LimWrappedSceptic:
-    """Order-level wrapper around a mixture: live accounts mirror the base
-    strategy, so each order's coefficients carry the per-side live weight."""
+    """Lim-wrap as a transform of the mixture's capital K: account k holds
+    2^-k of the mixture up to its stop time tau_k, so by linearity of the
+    protocol it is worth 2^-k K(min(n, tau_k)), which ``LimWrap.update``
+    computes. The orders, and so the engine's book, are the mixture's own."""
 
     def __init__(self, base: MixtureSceptic, cfg: LimWrapConfig = LimWrapConfig()):
         self.base = base
         self.wrappers = {"I": LimWrap(cfg), "II": LimWrap(cfg)}
-        self._live = {"I": sum(cfg.account_weights), "II": sum(cfg.account_weights)}
+        self._capital = {"I": 1.0, "II": 1.0}
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
-        o_i, o_ii = self.base.step_orders(forecasts)
-        self.last_bets_placed = self.base.last_bets_placed
-        self.last_active = self.base.last_active
-        return o_i.scaled(self._live["I"]), o_ii.scaled(self._live["II"])
+        return self.base.step_orders(forecasts)
 
     def settle(self, y: int) -> None:
         self.base.settle(y)
-        for side in ("I", "II"):
-            w = self.wrappers[side]
-            w.update(self.base.capital(side))
-            self._live[side] = math.fsum(
-                wt for wt, fr in zip(w.cfg.account_weights, w.frozen)
-                if fr is None)
+        for side, wrapper in self.wrappers.items():
+            self._capital[side] = wrapper.update(self.base.capital(side))
 
     def capital(self, side: str) -> float:
-        w = self.wrappers[side]
-        return (w.frozen_total + w.residual
-                + self._live[side] * self.base.capital(side))
+        return self._capital[side]
+
+    def log2_capital(self, side: str) -> float:
+        return math.log2(max(self._capital[side], 1e-300))

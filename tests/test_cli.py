@@ -85,9 +85,10 @@ def test_sweep_one_file_per_seed(tmp_path):
         assert (out / f"trace_seed{seed}.csv").exists()
 
 
-def test_sweep_bad_seed_range(tmp_path):
+@pytest.mark.parametrize("seeds", ["zero-two", "5..3"])
+def test_sweep_bad_seed_range(tmp_path, seeds):
     cfg = write_config(tmp_path, tiny_config())
-    assert exit_code(["sweep", "--config", cfg, "--seeds", "zero-two",
+    assert exit_code(["sweep", "--config", cfg, "--seeds", seeds,
                       "--out", str(tmp_path / "x")]) == 2
 
 

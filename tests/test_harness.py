@@ -15,7 +15,7 @@ from mergebet import measures, metrics, protocol, strategy
 from mergebet.measures import Conditioned, FiniteMixture, IID, bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
 from mergebet.scenarios import catalog, make_reality
-from mergebet.strategy import MixtureSceptic
+from mergebet.strategy import MixtureSceptic, wrap_capital_path
 
 FAIR = {"family": "iid", "weights": [0.5, 0.5]}
 
@@ -143,6 +143,8 @@ def test_config_bounds():
     ("forecaster_I.measure.prefix", {"forecaster_I": {
         "kind": "coherent", "measure": {"family": "conditioned",
                                         "base": FAIR, "prefix": [0.9, 1.2]}}}),
+    ("reality.string", {"T": 10, "reality": {"kind": "scripted",
+                                             "string": [0, 1, 1]}}),
 ])
 def test_config_rejects_bad_integers_and_symbols(field, overrides):
     with pytest.raises(ConfigError, match=field):
@@ -427,6 +429,23 @@ def test_scripted_reality_run_capitals_match_manual():
                                                    abs=1e-9)
     assert trace.rows[-1].log2_k2 == pytest.approx(math.log2(max(k_ii, 1e-300)),
                                                    abs=1e-9)
+
+
+def test_lim_wrap_rows_are_the_wrap_of_the_mixtures_capital():
+    d = catalog()["diverge-iid"]
+    d["T"] = 400
+    plain = run_experiment(ExperimentConfig.from_dict(d))
+    d["sceptic"] = dict(d["sceptic"], lim_wrap=True)
+    wrapped = run_experiment(ExperimentConfig.from_dict(d))
+    assert len(plain) == len(wrapped) == 400
+    same = ("y", "h_m", "tv_m", "bet_placed", "components_active")
+    for a, b in zip(plain.rows, wrapped.rows):
+        assert [getattr(a, f) for f in same] == [getattr(b, f) for f in same]
+    for side in ("log2_k1", "log2_k2"):
+        want = wrap_capital_path([2.0 ** getattr(r, side) for r in plain.rows])
+        got = [2.0 ** getattr(r, side) for r in wrapped.rows]
+        worst = max(abs(g - w) / w for g, w in zip(got, want))
+        assert worst <= 1e-9, (side, worst)
 
 
 def test_summarize_rejects_empty():

@@ -212,7 +212,7 @@ def test_find_below_matches_linear_scan(rng):
         p, q = random_measure(rng), random_measure(rng)
         prof = HorizonProfile(p, q)
         threshold = float(rng.uniform(0.2, 1.0))
-        got = prof.find_below(threshold, 12)
+        got = prof.search([threshold], 12)[0]
         expect = None
         for m in range(1, 13):
             if hellinger_restricted(p, q, m) < threshold:
@@ -224,8 +224,8 @@ def test_find_below_matches_linear_scan(rng):
 def test_find_below_short_circuit():
     p = bernoulli(0.4)
     prof = HorizonProfile(p, p)
-    assert prof.find_below(0.5, 0) is None
-    assert prof.find_below(0.5, 64) is None
+    assert prof.search([0.5], 0)[0] is None
+    assert prof.search([0.5], 64)[0] is None
 
 
 class Untyped(Measure):
@@ -253,12 +253,12 @@ def test_find_below_searches_every_horizon_the_budget_affords():
     engine = HorizonProfile(p, q, budget)
     threshold = 0.5 * (engine.h(4) + engine.h(5))
     capped = HorizonProfile.capped_searches
-    assert engine.find_below(threshold, 8) == 5
+    assert engine.search([threshold], 8)[0] == 5
     assert HorizonProfile.capped_searches == capped + 1
-    assert HorizonProfile(p, q, budget).find_below(threshold, 5) == 5
+    assert HorizonProfile(p, q, budget).search([threshold], 5)[0] == 5
     # the mixtures themselves have a type, whose table this budget affords
     # only to m = 4; the walk serves m = 5
-    assert HorizonProfile(*mixes, budget).find_below(threshold, 8) == 5
+    assert HorizonProfile(*mixes, budget).search([threshold], 8)[0] == 5
 
 
 #: a pair per route of the pair engine, each parting within m = 12
@@ -277,7 +277,7 @@ SEARCH_PAIRS = {
 
 
 @pytest.mark.parametrize("route", sorted(SEARCH_PAIRS))
-def test_search_equals_one_find_below_per_threshold(route):
+def test_search_equals_one_search_per_threshold(route):
     # the Sceptic's thresholds 1 - 2^-j and a few between, in one search
     p, q = SEARCH_PAIRS[route]
     thresholds = ([1.0 - 2.0 ** -j for j in range(1, 21)]
@@ -286,7 +286,7 @@ def test_search_equals_one_find_below_per_threshold(route):
     picked = ("chain" if engine._chain is not None
               else "type" if engine._level(12) is not None else "walk")
     assert route.startswith(picked)
-    want = [engine.find_below(t, 12) for t in thresholds]
+    want = [engine.search([t], 12)[0] for t in thresholds]
     got = HorizonProfile(p, q).search(thresholds, 12)
     assert got == want
     assert None in got and any(m is not None for m in got)
@@ -303,7 +303,7 @@ def test_a_capped_search_counts_each_threshold():
     engine = HorizonProfile(p, q, budget)
     thresholds = [0.5 * (engine.h(m - 1) + engine.h(m)) for m in (2, 3, 5)]
     thresholds.append(0.5 * engine.h(5))  # below every affordable H_m
-    want = [engine.find_below(t, 8) for t in thresholds]
+    want = [engine.search([t], 8)[0] for t in thresholds]
     assert want == [2, 3, 5, None]
     capped = HorizonProfile.capped_searches
     assert HorizonProfile(p, q, budget).search(thresholds, 8) == want
@@ -326,7 +326,7 @@ def test_engine_matches_oracle_on_every_family(rng):
             for threshold in rng.uniform(0.3, 1.0, size=6):
                 expect = next((m for m in range(1, 9)
                                if oracle[m][0] < threshold), None)
-                assert engine.find_below(threshold, 8) == expect
+                assert engine.search([threshold], 8)[0] == expect
 
 
 def test_diverge_run_reuses_its_engines(monkeypatch):

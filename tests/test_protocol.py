@@ -60,8 +60,6 @@ def test_a_leg_is_marked_only_at_a_horizon_on_one_alphabet():
 
 def test_order_scale_and_zero():
     a = BetOrder({(0,): 1.5, (1, 0): 2.0})
-    scaled = a.scaled(2.0)
-    assert scaled.stakes == {(0,): 3.0, (1, 0): 4.0}
     assert BetOrder.zero().is_zero()
     assert not a.is_zero()
 

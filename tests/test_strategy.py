@@ -8,12 +8,11 @@ import pytest
 from mergebet.errors import BudgetExceeded, DomainError
 from mergebet.harness import play
 from mergebet.measures import bernoulli
-from mergebet.metrics import hellinger_restricted
-from mergebet.protocol import BetOrder, ForecastPair, HedgeLeg, order_cost
+from mergebet.metrics import hellinger_restricted, pair_profile
+from mergebet.protocol import ForecastPair, HedgeLeg, order_cost
 from mergebet.scenarios import CoherentForecaster, ScriptedReality
 from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
-                               MixtureSceptic, build_hedge, find_horizon,
-                               wrap_capital_path)
+                               MixtureSceptic, build_hedge, wrap_capital_path)
 
 from conftest import random_measure
 
@@ -24,22 +23,6 @@ def forecasters(p, q):
     return CoherentForecaster(p), CoherentForecaster(q)
 
 
-class Lone:
-    """One component as the whole Sceptic; keeps what it placed each step."""
-
-    def __init__(self, comp, m_max):
-        self.comp, self.m_max = comp, m_max
-        self.placed = []
-
-    def step_orders(self, pair):
-        placed = self.comp.step_orders(pair, self.m_max)
-        self.placed.append(placed)
-        return placed or (BetOrder.zero(), BetOrder.zero())
-
-    def settle(self, y):
-        self.comp.settle()
-
-
 class CoinReality:
     def __init__(self, rng):
         self.rng = rng
@@ -48,40 +31,31 @@ class CoinReality:
         return int(self.rng.integers(0, 2))
 
 
-# -- find_horizon ------------------------------------------------------------
+# -- horizon search: the first m with H_m < 1 - epsilon ---------------------
 
 
 def test_find_horizon_identical_measures():
-    assert find_horizon(P04, P04, 0.5, 100) is None
+    assert pair_profile(P04, P04).search([1.0 - 0.5], 100)[0] is None
 
 
 def test_find_horizon_half():
-    assert find_horizon(P04, P06, 0.5, 100) == 34
+    assert pair_profile(P04, P06).search([1.0 - 0.5], 100)[0] == 34
 
 
 def test_find_horizon_strict_boundary():
     # H_2 equals 1 - 0.04 exactly, so the strict inequality needs m = 3
-    assert find_horizon(P04, P06, 0.04, 100) == 3
+    assert pair_profile(P04, P06).search([1.0 - 0.04], 100)[0] == 3
 
 
 def test_find_horizon_cap():
-    assert find_horizon(P04, P06, 0.5, 33) is None
-
-
-def test_find_horizon_validates_arguments():
-    with pytest.raises(DomainError):
-        find_horizon(P04, P06, 0.0, 10)
-    with pytest.raises(DomainError):
-        find_horizon(P04, P06, 1.0, 10)
-    with pytest.raises(DomainError):
-        find_horizon(P04, P06, 0.5, 0)
+    assert pair_profile(P04, P06).search([1.0 - 0.5], 33)[0] is None
 
 
 def test_find_horizon_soundness(rng):
     for _ in range(50):
         p, q = random_measure(rng), random_measure(rng)
         eps = float(rng.uniform(0.001, 0.6))
-        m = find_horizon(p, q, eps, 10)
+        m = pair_profile(p, q).search([1.0 - eps], 10)[0]
         if m is None:
             for mm in range(1, 11):
                 assert not hellinger_restricted(p, q, mm) < 1.0 - eps
@@ -145,30 +119,32 @@ def test_hedge_leg_matches_explicit_value():
 # -- epsilon component ---------------------------------------------------------
 
 
+# a mixture with J = 1 is one epsilon = 1/2 component at weight 1/2
+
+
 def test_component_idle_on_identical_forecasts():
-    comp = EpsilonComponent(0.5)
-    assert comp.step_orders(ForecastPair(P04, P04), 64) is None
-    assert not comp.holding
+    mix = MixtureSceptic(j_max=1, m_max=64)
+    o_i, o_ii = mix.step_orders(ForecastPair(P04, P04))
+    assert o_i.is_zero() and o_ii.is_zero()
+    assert not mix.components[0].holding
 
 
 def test_component_places_paired_hedges():
-    comp = EpsilonComponent(0.5)
-    placed = comp.step_orders(ForecastPair(P04, P06), 100)
-    assert placed is not None
-    o_i, o_ii = placed
+    mix = MixtureSceptic(j_max=1, m_max=100)
+    o_i, o_ii = mix.step_orders(ForecastPair(P04, P06))
+    assert mix.last_bets_placed
     assert len(o_i.legs) == 1 and len(o_ii.legs) == 1
     assert o_i.legs[0][1].horizon == 34
-    assert comp.holding
+    assert mix.components[0].holding
 
 
 def test_component_quiet_while_holding():
-    comp = EpsilonComponent(0.5)
-    lone = Lone(comp, 100)
-    play(forecasters(P04, P06), lone, ScriptedReality((0, 1, 1, 0, 1)), 5)
-    assert lone.placed[0] is not None
-    for placed in lone.placed[1:]:
-        assert placed is None
-    assert comp.holding  # 34-step hedge still open after 5 observations
+    mix = MixtureSceptic(j_max=1, m_max=100)
+    placed = []
+    play(forecasters(P04, P06), mix, ScriptedReality((0, 1, 1, 0, 1)), 5,
+         on_step=lambda *_: placed.append(mix.last_bets_placed))
+    assert placed == [True, False, False, False, False]
+    assert mix.components[0].holding  # 34-step hedge open after 5 symbols
 
 
 def test_component_cycle_geometric_mean(rng):
@@ -176,12 +152,13 @@ def test_component_cycle_geometric_mean(rng):
     for _ in range(25):
         p, q = random_measure(rng), random_measure(rng)
         eps = float(rng.uniform(0.005, 0.5))
-        comp = EpsilonComponent(eps)
-        m = find_horizon(p, q, eps, 8)
+        mix = MixtureSceptic(j_max=1, m_max=8)
+        mix.components[0] = comp = EpsilonComponent(eps)
+        m = pair_profile(p, q).search([1.0 - eps], 8)[0]
         if m is None:
             continue
         h = hellinger_restricted(p, q, m)
-        play(forecasters(p, q), Lone(comp, 8), CoinReality(rng), m)
+        play(forecasters(p, q), mix, CoinReality(rng), m)
         assert comp.bet_steps == [1]
         assert not comp.holding
         cycle = comp.cycles[-1]
@@ -259,7 +236,7 @@ def test_mixture_requires_component():
 
 
 def test_mixture_validates_m_max_at_construction():
-    # its one search a step bypasses find_horizon's check
+    # checked here once: a search with m_max < 1 finds nothing, silently
     with pytest.raises(DomainError):
         MixtureSceptic(j_max=3, m_max=0)
 
@@ -299,8 +276,9 @@ def test_limwrap_frozen_floor_monotone():
     prev = 0.0
     for k in [1.0, 3.0, 0.5, 9.0, 0.1, 20.0]:
         wrapper.update(k)
-        assert wrapper.frozen_total >= prev
-        prev = wrapper.frozen_total
+        floor = math.fsum(v for v in wrapper.frozen if v is not None)
+        assert floor >= prev
+        prev = floor
 
 
 def test_limwrap_config_validation():
