@@ -3,7 +3,7 @@
 Subcommands: ``run`` a single experiment, ``sweep`` over seeds, ``oracle``
 checks (martingale / metrics / accounting), and ``scenarios --list``.
 Exit codes: 0 success, 1 check failed, 2 config error, 3 Cromwell violation,
-4 enumeration budget exceeded.
+4 enumeration budget exceeded, 5 a capital not finite (every file written).
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ def run(config, out):
     trace.write_csv(outdir / "trace.csv")
     report = summarize(trace) if len(trace) else {"steps": 0}
     with open(outdir / "summary.json", "w") as fh:
-        json.dump(report, fh, indent=2)
+        json.dump(report, fh, indent=2, allow_nan=False)
     click.echo(json.dumps(report, indent=2))
+    sys.exit(5 if report.get("nonfinite_step") else 0)
 
 
 @cli.command()
@@ -62,6 +63,7 @@ def sweep(config, seeds, out):
         raise ConfigError(f"--seeds must be a range a..b, a <= b: {seeds!r}")
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
+    broken = 0  # runs with a capital that is not finite
     for seed in range(lo, hi + 1):
         d = dict(cfg.raw)
         d["seed"] = seed
@@ -70,6 +72,8 @@ def sweep(config, seeds, out):
         trace.write_csv(outdir / f"trace_seed{seed}.csv")
         report = summarize(trace) if len(trace) else {"steps": 0}
         click.echo(f"seed {seed}: {json.dumps(report)}")
+        broken += report.get("nonfinite_step") is not None
+    sys.exit(5 if broken else 0)
 
 
 @cli.command()

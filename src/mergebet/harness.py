@@ -18,8 +18,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .errors import BudgetExceeded, ConfigError, DomainError
 from .measures import (BetaLearner, FiniteMixture, IID, Markov, Measure,
                        String)
-from .metrics import (DEFAULT_BUDGET, HorizonProfile, hellinger_restricted,
-                      tv_restricted)
+from .metrics import (DEEPEST, DEFAULT_BUDGET, HorizonProfile,
+                      hellinger_restricted, tv_restricted)
 from .protocol import ForecastPair, ProtocolState
 from .scenarios import (ForecasterSpec, RealitySpec, ScriptedReality, catalog,
                         make_forecaster, make_reality)
@@ -253,6 +253,7 @@ def play(forecasters, sceptic, reality, t: int, budget: int = DEFAULT_BUDGET,
     ``next(n, history)``.
     """
     f_i, f_ii = forecasters
+    DEEPEST.clear()  # a game's type route follows its own horizons
     history: List[int] = []
     pair = ForecastPair(f_i.announce(1, history), f_ii.announce(1, history))
     state = ProtocolState(pair.p_i.alphabet, pair, budget)
@@ -306,14 +307,17 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
 
 def summarize(trace: Trace, tol_merge: float = 1e-3,
               growth_floor: float = 20.0) -> dict:
-    """Final/max capitals, metric surrogates, and the disjunction check."""
+    """Final/max capitals, metric surrogates, and the disjunction check; a
+    value that is not finite reads None, and so does any claim of a run with
+    such a capital (first at ``nonfinite_step``)."""
     if len(trace) == 0:
         raise DomainError("cannot summarize an empty trace")
     last = trace.rows[-1]
     max_geo = max(r.log2_geomean for r in trace.rows)
     merge_arm = (1.0 - last.h_m) < tol_merge
     growth_arm = max_geo >= growth_floor
-    return {
+    bad = next((r.n for r in trace.rows if not math.isfinite(r.log2_geomean)), None)
+    report = {
         "steps": len(trace),
         "final_log2_k1": last.log2_k1,
         "final_log2_k2": last.log2_k2,
@@ -328,7 +332,12 @@ def summarize(trace: Trace, tol_merge: float = 1e-3,
         "merge_arm": merge_arm,
         "growth_arm": growth_arm,
         "disjunction_satisfied": merge_arm or growth_arm,
+        "nonfinite_step": bad,
     }
+    if bad is not None:
+        report.update(growth_arm=None, disjunction_satisfied=None)
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in report.items()}
 
 
 # -- oracles ---------------------------------------------------------------

@@ -12,11 +12,12 @@ three routes that fits its measures, and is picked in this module alone:
   * walk  -- else one depth-first walk of the outcome tree (``_walk_sums``)
              fills every level up to m; refused beyond a budget.
 
-``HorizonProfile``, the engine of one pair, memoises H_m and TV_m (TV_m has
-no chain form). Measures are immutable, so ``pair_profile`` finds the
-engines of the last few pairs again by the identity of the two measures, in
-either order: legs step onto the announced measures (``child`` is memoised),
-so a coherent step's report, horizon search and leg marks read one engine.
+``HorizonProfile``, the engine of one pair, memoises H_m, TV_m (which has no
+chain form) and its search answers. Measures are immutable, so
+``pair_profile`` finds the engines of the last few pairs again by the
+identity of the two measures, in either order: legs step onto the announced
+measures (``child`` is memoised), so a coherent step's report, horizon
+search and leg marks read one engine.
 """
 
 from __future__ import annotations
@@ -94,25 +95,31 @@ def _chain_affinity(p: Measure, q: Measure) -> Optional[Callable[[int], float]]:
 #: fresh mixture of two i.i.d. laws a level costs 9.5 us at any size, and a
 #: pass costs two levels (the fewest an engine reads) at 800 to 1000 rows
 SMALL_TABLE = 768
+#: the deepest level asked of a type table in the game ``play`` runs, by (a, order)
+DEEPEST: Dict[tuple, int] = {}
 
 
 def _type_levels(measures: Sequence[Measure], budget: int
                  ) -> Callable[[int], Optional[Tuple[np.ndarray, list]]]:
     """m -> level m of the type route: its types' log multiplicities and each
     measure's ``type_log_probs``; None without a joint type or past what the
-    budget affords the table. Memoised; a small table's levels are slices of
-    one pass over all (a row's value does not depend on the range: the sums
-    are elementwise, and a chain multiplies level by level)."""
+    budget affords the table. Memoised; while the levels the game has asked
+    for span at most SMALL_TABLE rows, each is a slice of one pass over them
+    all (a row's value does not depend on the range: the sums are elementwise,
+    and a chain multiplies level by level)."""
     types = joint_type(measures)
     t = None if types is None else type_table(measures[0].a, *types)
     memo, every = {}, [()]  # every: the one pass, per measure
 
     def level(m: int):
         if m not in memo and t is not None and t.reach(m, budget) >= m:
-            rows, top = t.rows[m], t.stop[-1]
-            if top <= SMALL_TABLE and len(every[0]) < rows.stop:
-                every[:] = [x.type_log_probs(t, slice(0, top)) for x in measures]
-            lps = ([lp[rows] for lp in every] if top <= SMALL_TABLE
+            rows = t.rows[m]
+            if len(every[0]) < rows.stop:  # not in the pass, if there is one
+                deep = DEEPEST[t.key[:2]] = max(DEEPEST.get(t.key[:2], 0), m)
+                top = t.stop[t.reach(deep, budget) if deep > m else m]
+                if top <= SMALL_TABLE:
+                    every[:] = [x.type_log_probs(t, slice(0, top)) for x in measures]
+            lps = ([lp[rows] for lp in every] if len(every[0]) >= rows.stop
                    else [x.type_log_probs(t, rows) for x in measures])
             memo[m] = t.log_mult[rows], lps
         return memo.get(m)
@@ -163,8 +170,8 @@ def _walk_sums(measures: Sequence[Measure], m: int, budget: int,
 # -- the pair engine ----------------------------------------------------------
 
 class HorizonProfile:
-    """Metrics engine of one ordered pair: memoised H_m and TV_m, and the
-    first m with H_m (non-increasing) below each of several thresholds."""
+    """Metrics engine of one ordered pair: memoised H_m and TV_m, and the first
+    m with H_m (non-increasing) below each of several thresholds (memoised too)."""
 
     #: searches cut short by the enumeration budget, summed over all engines
     capped_searches = 0
@@ -175,6 +182,7 @@ class HorizonProfile:
         self._chain = _chain_affinity(p, q)
         self._level = _type_levels((p, q), budget)
         self._memo = ({0: 1.0}, {0: 0.0})  # H_m, TV_m
+        self._answers = None  # search answers by (m_max, threshold)
 
     def _read(self, m: int, which: int) -> float:
         """H_m (which = 0) or TV_m (1), memoised."""
@@ -186,7 +194,8 @@ class HorizonProfile:
             hs, tvs = _walk_sums((self.p, self.q), m, self.budget, (
                 lambda lp, lq: math.exp(0.5 * (lp + lq)),
                 lambda lp, lq: abs(math.exp(lp) - math.exp(lq))))
-            self._memo[0].update(enumerate(min(h, 1.0) for h in hs))
+            if self._chain is None:  # a chain's own H_m stays
+                self._memo[0].update(enumerate(min(h, 1.0) for h in hs))
             self._memo[1].update(enumerate(tvs))
             return self._memo[which][m]
         lc, (lp, lq) = level
@@ -197,9 +206,9 @@ class HorizonProfile:
 
     def h(self, m: int) -> float:
         """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
-        if self._chain is not None:
-            return self._chain(m)
         v = self._memo[0].get(m)  # the memo first: the search reads it most
+        if v is None and self._chain is not None:
+            v = self._memo[0][m] = self._chain(m)
         return self._read(m, 0) if v is None else v
 
     def tv(self, m: int) -> float:
@@ -225,16 +234,25 @@ class HorizonProfile:
             if m_max < top:
                 HorizonProfile.capped_searches += len(thresholds)
         h_top = self.h(m_max) if m_max else math.inf  # no horizon afforded
-        found = []
+        if max(thresholds) <= h_top:  # no bisection would probe
+            return [None] * len(thresholds)
+        answers, found = self._answers, []
         for threshold in thresholds:
-            lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
-            while hi - lo > 1 and h_top < threshold:
-                mid = (lo + hi) // 2
-                if self.h(mid) < threshold:
-                    hi = mid
-                else:
-                    lo = mid
-            found.append(hi if h_top < threshold else None)
+            m = -1 if answers is None else answers.get((m_max, threshold), -1)
+            if m == -1:
+                lo, hi = 0, m_max  # invariant: H_lo >= threshold > H_hi
+                while hi - lo > 1 and h_top < threshold:
+                    mid = (lo + hi) // 2
+                    if self.h(mid) < threshold:
+                        hi = mid
+                    else:
+                        lo = mid
+                m = hi if h_top < threshold else None
+                if answers is not None:
+                    answers[m_max, threshold] = m
+            found.append(m)
+        if answers is None:  # most engines are searched once: the first stores nothing
+            self._answers = {}
         return found
 
 

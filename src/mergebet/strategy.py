@@ -171,28 +171,27 @@ class LimWrapConfig:
         if self.num_accounts < 1:
             raise DomainError("need at least one account")
 
-    @property
-    def account_weights(self) -> List[float]:
-        return [2.0 ** -k for k in range(1, self.num_accounts + 1)]
-
 
 class LimWrap:
     """Streaming wrapper: account k mirrors the base capital at weight 2^-k
-    until the base first reaches 2^k, then holds its value as cash forever."""
+    until the base first reaches 2^k, then holds its value as cash forever.
+    Accounts freeze in order of k, so ``frozen`` holds accounts 1..len."""
 
     def __init__(self, cfg: LimWrapConfig = LimWrapConfig()):
-        self.cfg = cfg
-        self.frozen: List[Optional[float]] = [None] * cfg.num_accounts
-        self.residual = 2.0 ** -cfg.num_accounts  # weight never put at risk
+        self.weights = [2.0 ** -k for k in range(1, cfg.num_accounts + 1)]
+        self.targets = [2.0 ** k for k in range(1, cfg.num_accounts + 1)]
+        self.frozen: List[float] = []
+        self._head = 2.0 ** -cfg.num_accounts  # the residual, plus each frozen value
 
     def update(self, base_capital: float) -> float:
-        total = self.residual
-        for idx, w in enumerate(self.cfg.account_weights):
-            k = idx + 1
-            if self.frozen[idx] is None and base_capital >= 2.0 ** k:
-                self.frozen[idx] = w * base_capital
-            total += self.frozen[idx] if self.frozen[idx] is not None \
-                else w * base_capital
+        k = len(self.frozen)
+        while k < len(self.targets) and base_capital >= self.targets[k]:
+            self.frozen.append(self.weights[k] * base_capital)
+            self._head += self.frozen[-1]
+            k += 1
+        total = self._head
+        for w in self.weights[k:]:
+            total += w * base_capital
         return total
 
 

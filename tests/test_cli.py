@@ -56,6 +56,30 @@ def test_run_writes_trace_and_summary(tmp_path):
     assert "disjunction_satisfied" in report
 
 
+def test_a_capital_past_floats_exits_5_with_strict_json(tmp_path):
+    # side II's capital passes 2^1024 at step 1373 of seed 1
+    cfg = write_config(tmp_path, betting_config(
+        T=1500, sceptic={"J": 10, "M_max": 100}, m_report=8, seed=1))
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    out = tmp_path / "out"
+    assert exit_code(["run", "--config", cfg, "--out", str(out)]) == 5
+    assert len((out / "trace.csv").read_text().splitlines()) == 1501
+    report = json.loads((out / "summary.json").read_text(),
+                        parse_constant=refuse)
+    assert report["nonfinite_step"] == 1373
+    assert report["final_log2_k2"] is None
+    assert report["growth_arm"] is None
+    assert report["disjunction_satisfied"] is None
+    out = tmp_path / "sweep"
+    assert exit_code(["sweep", "--config", cfg, "--seeds", "1..2",
+                      "--out", str(out)]) == 5
+    assert sorted(f.name for f in out.iterdir()) == [
+        "trace_seed1.csv", "trace_seed2.csv"]
+
+
 def test_run_reproducible(tmp_path):
     cfg = write_config(tmp_path, betting_config(T=25, seed=9))
     runner = CliRunner()

@@ -268,6 +268,31 @@ def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
     assert max(per_step[250:]) <= 2
 
 
+def test_type_scoring_does_not_depend_on_how_far_the_shared_table_grew(
+        monkeypatch):
+    # merge-beta's 153-row table at M_max = 16 is scored in one pass per
+    # fresh posterior, whether or not another game grew it to level 64 before
+    calls = [0]
+    type_log_probs = measures.BetaLearner.type_log_probs
+
+    def counted(self, table, rows):
+        calls[0] += 1
+        return type_log_probs(self, table, rows)
+
+    def per_step():
+        calls[0] = 0
+        cfg = ExperimentConfig.load("merge-beta")
+        cfg.t = 300
+        run_experiment(cfg)
+        return calls[0] / cfg.t
+
+    monkeypatch.setattr(measures.BetaLearner, "type_log_probs", counted)
+    measures.type_table.cache_clear()  # as a fresh process: no test grew it
+    fresh = per_step()
+    measures.type_table(2, 0, ()).reach(64, metrics.DEFAULT_BUDGET)
+    assert per_step() == fresh <= 2.0
+
+
 def coherent(measure):
     return {"kind": "coherent", "measure": measure}
 

@@ -308,6 +308,53 @@ def test_a_capped_search_counts_each_threshold():
     capped = HorizonProfile.capped_searches
     assert HorizonProfile(p, q, budget).search(thresholds, 8) == want
     assert HorizonProfile.capped_searches == capped + len(thresholds)
+    for _ in range(2):  # answers read from the engine's memo count as well
+        capped = HorizonProfile.capped_searches
+        assert engine.search(thresholds, 8) == want
+        assert HorizonProfile.capped_searches == capped + len(thresholds)
+    assert engine._answers
+
+
+@pytest.mark.parametrize("route", sorted(SEARCH_PAIRS))
+def test_a_searched_engine_answers_as_a_fresh_one(route):
+    # one engine asked again and again, as a pair's engine is from step to
+    # step: subsets of the Sceptic's thresholds in any order, and some between
+    p, q = SEARCH_PAIRS[route]
+    rng = np.random.default_rng(21)
+    grid = [1.0 - 2.0 ** -j for j in range(1, 21)]
+    between = [float(t) for t in np.linspace(0.05, 0.999, 9)]
+    engine = HorizonProfile(p, q)
+    for _ in range(12):
+        thresholds = [float(t) for t in np.concatenate([
+            rng.permutation(grid)[:rng.integers(1, 21)],
+            rng.choice(between, 3)])]
+        rng.shuffle(thresholds)
+        m_max = int(rng.integers(1, 13))
+        assert (engine.search(thresholds, m_max)
+                == HorizonProfile(p, q).search(thresholds, m_max))
+    assert engine._answers  # later searches were served from the memo
+
+
+def test_a_diverge_run_evaluates_each_chain_horizon_once(monkeypatch):
+    evaluated = []
+    make = metrics._chain_affinity
+
+    def counted(p, q):
+        affinity, seen = make(p, q), {}
+        evaluated.append(seen)
+
+        def count(m):
+            seen[m] = seen.get(m, 0) + 1
+            return affinity(m)
+        return None if affinity is None else count
+
+    monkeypatch.setattr(metrics, "_chain_affinity", counted)
+    cfg = ExperimentConfig.load("diverge-iid")
+    cfg.t = 400
+    trace = run_experiment(cfg)
+    assert sum(trace.component_bets) > 0
+    assert sum(len(seen) for seen in evaluated) > 1
+    assert all(n == 1 for seen in evaluated for n in seen.values())
 
 
 # -- the pair engine ------------------------------------------------------------

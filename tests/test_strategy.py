@@ -281,6 +281,40 @@ def test_limwrap_frozen_floor_monotone():
         prev = floor
 
 
+def limwrap_every_account(cfg, path):
+    """The wrapped path by a walk over every account at every step."""
+    weights = [2.0 ** -k for k in range(1, cfg.num_accounts + 1)]
+    frozen = [None] * cfg.num_accounts
+    out = []
+    for base in path:
+        total = 2.0 ** -cfg.num_accounts
+        for idx, w in enumerate(weights):
+            if frozen[idx] is None and base >= 2.0 ** (idx + 1):
+                frozen[idx] = w * base
+            total += frozen[idx] if frozen[idx] is not None else w * base
+        out.append(total)
+    return out
+
+
+def test_limwrap_update_equals_a_walk_over_every_account_bit_for_bit():
+    rng = np.random.default_rng(17)
+    most = 0  # accounts frozen by a single update
+    for n in (1, 4, 30):
+        cfg = LimWrapConfig(num_accounts=n)
+        for _ in range(20):
+            # a log2 random walk with dips and jumps, and a crash to zero
+            steps = rng.normal(0.0, 1.5, 80) + np.where(
+                rng.random(80) < 0.1, rng.uniform(2.0, 8.0, 80), 0.0)
+            path = [float(k) for k in 2.0 ** np.cumsum(steps)] + [0.0, 1.0]
+            wrapper, got = LimWrap(cfg), []
+            for k in path:
+                frozen = len(wrapper.frozen)
+                got.append(wrapper.update(k))
+                most = max(most, len(wrapper.frozen) - frozen)
+            assert got == limwrap_every_account(cfg, path)
+    assert most >= 3
+
+
 def test_limwrap_config_validation():
     with pytest.raises(DomainError):
         LimWrapConfig(num_accounts=0)
