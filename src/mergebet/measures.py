@@ -23,7 +23,10 @@ rejects any parameter that would yield a zero one-step probability
 (Cromwell's rule), optionally smoothing user tables with a floor.
 
 Each family gives all strings of one type (``TypeTable``, named by
-``type_key``) one probability; ``type_log_probs`` scores whole levels.
+``type_key``) one probability; ``type_log_probs`` scores whole levels. A
+mixture's level is the log-sum-exp of its components' rows, unless its
+posterior is concentrated (``_collapsed``): where the others' terms cannot
+move a sum that holds 1.0, the live component's rows are the same bits.
 """
 
 from __future__ import annotations
@@ -509,9 +512,8 @@ class FiniteMixture(Measure):
         """Each component's law of the next symbol, and the mixture's."""
         if self._next is None:
             laws = [c.one_step(()) for c in self.components]
-            law = math.exp(self._lw[0]) * laws[0]
-            for v, d in zip(self._lw[1:], laws[1:]):
-                law += math.exp(v) * d
+            law = reduce(np.add, [w * d for w, d in zip(
+                map(math.exp, self._lw), laws) if w])  # +0.0 adds nothing
             law.flags.writeable = False
             self._next = laws, law
         return self._next
@@ -546,12 +548,39 @@ class FiniteMixture(Measure):
         return joint_type(self.components)
 
     def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
-        # logsumexp of the rows, added in order as np.sum(axis=0) of a stack
-        lps = [c.type_log_probs(table, rows) + v
-               for c, v in zip(self.components, self._lw)]
+        # logsumexp of the rows r_k = L_k + w_k, added in order as
+        # np.sum(axis=0) of a stack; a concentrated posterior (_collapsed)
+        # reads its live component's rows alone, with the same bits
+        lps = [c.type_log_probs(table, rows) for c in self.components]
+        i = _collapsed(lps, self._lw)
+        if i is not None:
+            return lps[i] + self._lw[i]
+        lps = [r + v for r, v in zip(lps, self._lw)]
         hi = reduce(np.maximum, lps)
         hi = np.where(np.isfinite(hi), hi, 0.0)
         return np.log(reduce(np.add, [np.exp(r - hi) for r in lps])) + hi
+
+
+def _collapsed(lps: list, lw: list) -> Optional[int]:
+    """The component i of largest log weight w_i when each other term
+    exp(r_k - r_i) of the logsumexp of r_k = L_k + w_k is below e^-(40 + ln K)
+    on every row, else None. Then r_i is each row's maximum and the other
+    terms sum below e^-40 < 2^-53 / 26, so a sum that holds exp(0) = 1.0
+    rounds to 1.0, its log to 0.0 and the logsumexp to r_i, bit for bit.
+    The gate w_k - w_i + max(L_k - L_i) errs from a computed r_k - r_i by a
+    few ulps of |L| + |w|, inside the margin ln 26 while those are below
+    1e15. As max(L_k - L_i) >= 0 (both laws sum to 1 over a level of the same
+    multiplicities), the weights' gap is checked first."""
+    *rest, top = sorted(lw)
+    cut = top - 40.0 - math.log(len(lw))
+    if rest and rest[-1] >= cut:
+        return None
+    i = lw.index(top)
+    li = lps[i]
+    for k, (r, v) in enumerate(zip(lps, lw)):
+        if k != i and not v + float((r - li).max()) < cut:
+            return None
+    return i
 
 
 class Conditioned(Measure):

@@ -190,13 +190,17 @@ class HorizonProfile:
         if v is not None:
             return v
         level = self._level(m)
-        if level is None:  # one walk fills H and TV up to m
+        if level is None:  # one walk fills the levels up to m no type serves
             hs, tvs = _walk_sums((self.p, self.q), m, self.budget, (
                 lambda lp, lq: math.exp(0.5 * (lp + lq)),
                 lambda lp, lq: abs(math.exp(lp) - math.exp(lq))))
-            if self._chain is None:  # a chain's own H_m stays
-                self._memo[0].update(enumerate(min(h, 1.0) for h in hs))
-            self._memo[1].update(enumerate(tvs))
+            j = m
+            while level is None and j > 0:  # a table affords levels 0..d
+                if self._chain is None:  # a chain's own H_m stays
+                    self._memo[0][j] = min(hs[j], 1.0)
+                self._memo[1][j] = tvs[j]
+                j -= 1
+                level = self._level(j)
             return self._memo[which][m]
         lc, (lp, lq) = level
         self._memo[which][m] = v = (

@@ -268,6 +268,50 @@ def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
     assert max(per_step[250:]) <= 2
 
 
+def test_concentrated_posteriors_skip_the_full_logsumexp(monkeypatch):
+    # singular-pair's skew components lose all weight that a sum holding 1.0
+    # could show within ~30 steps, so from then on every mixture level reads
+    # its live component alone; markov-mix's posteriors stay mixed (its most
+    # concentrated log-weight gap over seeds 16-31 is -12.7)
+    calls, per_step = [0, 0], []  # scorings, full sums
+    collapsed, settle = measures._collapsed, ProtocolState.settle_step
+
+    def counted_collapsed(lps, lw):
+        i = collapsed(lps, lw)
+        calls[0] += 1
+        calls[1] += i is None
+        return i
+
+    def counted_settle(self, y, pair):
+        per_step.append(tuple(calls))
+        calls[:] = [0, 0]
+        return settle(self, y, pair)
+
+    monkeypatch.setattr(measures, "_collapsed", counted_collapsed)
+    monkeypatch.setattr(ProtocolState, "settle_step", counted_settle)
+    cfg = ExperimentConfig.load("singular-pair")
+    cfg.t = 600
+    run_experiment(cfg)
+    late = per_step[400:]
+    assert len(late) == 200 and sum(c[0] for c in late) >= 200
+    assert sum(c[1] for c in late) == 0
+
+    def mix(w):
+        return {"kind": "coherent", "measure": {
+            "family": "mixture", "weights": w, "components": MARKOV_MIX_CHAINS}}
+
+    per_step.clear()
+    calls[:] = [0, 0]
+    run_experiment(ExperimentConfig.from_dict(tiny_config(
+        T=24, forecaster_I=mix([0.5, 0.5]), forecaster_II=mix([0.9, 0.1]),
+        reality={"kind": "sample", "measure": MARKOV_MIX_CHAINS[0]},
+        sceptic={"J": 8, "M_max": 8, "lim_wrap": False}, m_report=6,
+        seed=16)))
+    per_step.append(tuple(calls))  # the last step's report
+    scored, full_path = map(sum, zip(*per_step))
+    assert scored > 0 and full_path == scored
+
+
 def test_type_scoring_does_not_depend_on_how_far_the_shared_table_grew(
         monkeypatch):
     # merge-beta's 153-row table at M_max = 16 is scored in one pass per

@@ -447,6 +447,48 @@ def test_mixture_type_log_probs_equal_the_stacked_logsumexp(rng):
                                       stacked_mixture_log_probs(mix, table, m))
 
 
+def mixture_at(components, lw):
+    """A mixture of ``components`` at the log weights ``lw``, normalised;
+    they may lie far below the log of the smallest positive double."""
+    top = max(lw)
+    z = top + math.log(math.fsum(math.exp(v - top) for v in lw))
+    mix = FiniteMixture(np.full(len(lw), 1.0 / len(lw)), components)
+    mix._lw = [v - z for v in lw]
+    return mix
+
+
+def test_concentrated_mixture_type_log_probs_keep_every_bit(rng):
+    # the live component's rows stand for the logsumexp only where the others'
+    # terms cannot move a sum that holds 1.0: log-weight gaps from -20 to
+    # -800, densest where that starts (-36.7 for two components, 2^-53)
+    gaps = [-g for g in range(20, 60)] + [-g for g in range(60, 801, 20)]
+    for a in (2, 3):
+        pool = [lambda: random_iid(rng, a), lambda: random_beta(rng, a),
+                lambda: random_markov(rng, a, order=1).condition((0, 1))]
+        for gap in gaps:
+            k = int(rng.integers(2, 5))
+            comps = [pool[int(i)]() for i in rng.integers(0, len(pool), k)]
+            if gap % 3 == 0:  # one component is itself a mixture
+                comps[-1] = mixture_at([comps[0], random_iid(rng, a)],
+                                       [0.0, gap + float(rng.uniform(-5.0, 5.0))])
+            lw = [gap + float(rng.uniform(-3.0, 0.0)) for _ in range(k)]
+            lw[int(rng.integers(0, k))] = 0.0
+            mix = mixture_at(comps, lw)
+            table = type_table(a, *mix.type_key())
+            assert table.reach(12, DEFAULT_BUDGET) == 12
+            for m in range(13):
+                assert np.array_equal(mix.type_log_probs(table, table.rows[m]),
+                                      stacked_mixture_log_probs(mix, table, m))
+            assert np.array_equal(
+                mix.type_log_probs(table, slice(0, table.stop[12])),
+                np.concatenate([stacked_mixture_log_probs(mix, table, m)
+                                for m in range(13)]))
+            law = 0.0
+            for v, c in zip(mix._lw, mix.components):
+                law = law + math.exp(v) * c.one_step(())
+            assert np.array_equal(mix.one_step(()), law)
+
+
 def rising_factorial_log_probs(b, table, m):
     """A Beta learner's type level by the np.append/cumsum formula it
     replaced, its table built afresh for level m."""

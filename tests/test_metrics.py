@@ -261,6 +261,28 @@ def test_find_below_searches_every_horizon_the_budget_affords():
     assert HorizonProfile(*mixes, budget).search([threshold], 8)[0] == 5
 
 
+def test_a_walk_fills_only_the_levels_no_type_serves():
+    # the two mixtures' table affords m = 4 at budget 3^5 and the walk m = 5;
+    # an engine's H_m and TV_m do not depend on which horizon it read first
+    uniform = Markov(np.full((3, 3), 1 / 3), initial=np.full(3, 1 / 3))
+    sticky = Markov(np.full((3, 3), 0.25) + 0.25 * np.eye(3),
+                    initial=np.full(3, 1 / 3))
+    p, q = (FiniteMixture(w, [uniform, sticky]) for w in ([0.5, 0.5], [0.9, 0.1]))
+    budget = 3 ** 5
+
+    def read(engine, order):
+        hs = {m: engine.h(m) for m in order}
+        return [hs[m] for m in range(6)], [engine.tv(m) for m in range(6)]
+
+    walk_first = read(HorizonProfile(p, q, budget), (5, 0, 1, 2, 3, 4))
+    walk_last = read(HorizonProfile(p, q, budget), (0, 1, 2, 3, 4, 5))
+    assert walk_first == walk_last
+    typed = HorizonProfile(p, q, budget)
+    assert walk_first[0][:5] == [typed.h(m) for m in range(5)]
+    assert all(typed._level(m) is not None for m in range(5))
+    assert typed._level(5) is None
+
+
 #: a pair per route of the pair engine, each parting within m = 12
 SEARCH_PAIRS = {
     "chain-rho": (bernoulli(0.4), bernoulli(0.6)),
