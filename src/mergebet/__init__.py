@@ -15,8 +15,7 @@ from .metrics import (DEFAULT_BUDGET, HorizonProfile, expectation_sqrt_ratio,
                       hellinger_restricted, hellinger_tv_bounds, tv_restricted)
 from .protocol import (BetOrder, ForecastPair, HedgeLeg, Portfolio,
                        ProtocolState, order_cost)
-from .scenarios import (ForecasterSpec, RealitySpec, catalog, make_forecaster,
-                        make_reality)
+from .scenarios import catalog
 from .strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
                        LimWrappedSceptic, MixtureSceptic, build_hedge,
                        wrap_capital_path)

@@ -2,8 +2,10 @@
 
 Subcommands: ``run`` a single experiment, ``sweep`` over seeds, ``oracle``
 checks (martingale / metrics / accounting), and ``scenarios --list``.
-Exit codes: 0 success, 1 check failed, 2 config error, 3 Cromwell violation,
-4 enumeration budget exceeded, 5 a capital not finite (every file written).
+Exit codes: 0 success, 1 check failed, 2 config or usage error (also an
+unknown key, an unreadable config, an ``--out`` that is a file), 3 Cromwell
+violation, 4 enumeration budget exceeded, 5 a capital not finite (every file
+written).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ def cli():
 @cli.command()
 @click.option("--config", required=True,
               help="Path to a JSON config, or a shipped scenario name.")
-@click.option("--out", required=True, type=click.Path(),
+@click.option("--out", required=True, type=click.Path(file_okay=False),
               help="Output directory for trace.csv and summary.json.")
 def run(config, out):
     """Run one experiment and write its trace and summary."""
@@ -51,7 +53,7 @@ def run(config, out):
 @click.option("--config", required=True)
 @click.option("--seeds", required=True,
               help="Inclusive seed range, e.g. 0..99.")
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(file_okay=False))
 def sweep(config, seeds, out):
     """Run one experiment per seed; one trace file per run."""
     cfg = ExperimentConfig.load(config)
@@ -93,10 +95,7 @@ def oracle(check, config):
                        f"{'ok' if line_ok else 'FAIL'}")
         sys.exit(0 if ok else 1)
     if check == "metrics":
-        p = cfg.forecaster_i.measure if cfg.forecaster_i.kind == "coherent" \
-            else cfg.forecaster_i.measures[0]
-        q = cfg.forecaster_ii.measure if cfg.forecaster_ii.kind == "coherent" \
-            else cfg.forecaster_ii.measures[0]
+        p, q = (f.announce(1, []) for f in cfg.forecasters())
         m = min(cfg.m_report, 8)
         h_o, tv_o, sup_tv = oracle_metrics(p, q, m)
         h = hellinger_restricted(p, q, m, budget=cfg.budget)

@@ -1,5 +1,8 @@
 """Experiment configuration, execution, traces, and brute-force oracles.
 
+A config is parsed, and checked once, straight into its players; a game
+starts at n = 1, where each player starts afresh, so a parsed config replays.
+
 The oracles deliberately recompute everything the slow way (full-path
 enumeration, literal incremental capital updates, explicit sums over events)
 so that the engine and metric fast paths can be checked against code that
@@ -21,8 +24,8 @@ from .measures import (BetaLearner, FiniteMixture, IID, Markov, Measure,
 from .metrics import (DEEPEST, DEFAULT_BUDGET, HorizonProfile,
                       hellinger_restricted, tv_restricted)
 from .protocol import ForecastPair, ProtocolState
-from .scenarios import (ForecasterSpec, RealitySpec, ScriptedReality, catalog,
-                        make_forecaster, make_reality)
+from .scenarios import (CoherentForecaster, SampledReality, ScriptedForecaster,
+                        ScriptedReality, SwitchingReality, catalog)
 from .strategy import LimWrappedSceptic, MixtureSceptic
 
 TRACE_HEADER = "n,y,h_m,tv_m,log2_k1,log2_k2,log2_geomean,components_active,bet_placed"
@@ -48,6 +51,15 @@ def _symbols(s, alphabet_size: int, where: str) -> list:
     return s
 
 
+def _fields(d: dict, where: str, *names: str) -> dict:
+    """``d``, once each of its keys is one of ``names``: a key that its level
+    of the config does not read is refused, not silently dropped."""
+    for key in d:
+        if key not in names:
+            raise ConfigError(f"{where}.{key}".lstrip(".") + ": unknown field")
+    return d
+
+
 def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
                       ) -> Measure:
     """Build a measure from its JSON-schema dict."""
@@ -56,18 +68,23 @@ def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
     fam = spec["family"]
     try:
         if fam == "iid":
+            _fields(spec, where, "family", "weights", "floor")
             m = IID(spec["weights"], floor=spec.get("floor"))
         elif fam == "markov":
+            _fields(spec, where, "family", "transition", "initial", "floor")
             m = Markov(spec["transition"], initial=spec.get("initial"),
                        floor=spec.get("floor"))
         elif fam == "beta_learner":
+            _fields(spec, where, "family", "pseudo_counts")
             m = BetaLearner(spec["pseudo_counts"])
         elif fam == "mixture":
+            _fields(spec, where, "family", "weights", "components")
             comps = [measure_from_spec(c, alphabet_size,
                                        f"{where}.components[{i}]")
                      for i, c in enumerate(spec.get("components", []))]
             m = FiniteMixture(spec["weights"], comps)
         elif fam == "conditioned":
+            _fields(spec, where, "family", "base", "prefix")
             base = measure_from_spec(spec["base"], alphabet_size, f"{where}.base")
             m = base.condition(_symbols(spec["prefix"], alphabet_size,
                                         f"{where}.prefix"))
@@ -82,47 +99,48 @@ def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
     return m
 
 
-def _forecaster_spec(d: dict, alphabet_size: int, where: str) -> ForecasterSpec:
+def _forecaster(d: dict, alphabet_size: int, where: str):
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     if d["kind"] == "coherent":
-        return ForecasterSpec("coherent", measure=measure_from_spec(
+        _fields(d, where, "kind", "measure")
+        return CoherentForecaster(measure_from_spec(
             d.get("measure"), alphabet_size, f"{where}.measure"))
     if d["kind"] == "scripted":
-        ms = d.get("measures")
+        ms = _fields(d, where, "kind", "measures").get("measures")
         if not isinstance(ms, list) or not ms:
             raise ConfigError(f"{where}.measures: need a nonempty list")
-        return ForecasterSpec("scripted", measures=[
+        return ScriptedForecaster([
             measure_from_spec(m, alphabet_size, f"{where}.measures[{i}]")
             for i, m in enumerate(ms)])
     raise ConfigError(f"{where}.kind: unknown forecaster kind {d['kind']!r}")
 
 
-def _reality_spec(d: dict, alphabet_size: int, t: int, where: str
-                  ) -> RealitySpec:
+def _reality(d: dict, alphabet_size: int, t: int, seed: int, where: str):
+    """Reality; a sampling one is seeded by ``seed`` unless it names its own."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ConfigError(f"{where}: expected an object with a 'kind' field")
     kind = d["kind"]
-    seed = d.get("seed")
-    if seed is not None:
-        _integer(seed, f"{where}.seed", 0)
-    if kind == "sample":
-        return RealitySpec("sample", measure=measure_from_spec(
-            d.get("measure"), alphabet_size, f"{where}.measure"), seed=seed)
     if kind == "scripted":
-        string = _symbols(d.get("string"), alphabet_size, f"{where}.string")
+        string = _symbols(_fields(d, where, "kind", "string").get("string"),
+                          alphabet_size, f"{where}.string")
         if len(string) < t:
             raise ConfigError(f"{where}.string: {len(string)} symbols for "
                               f"T = {t} steps")
-        return RealitySpec("scripted", string=string)
+        return ScriptedReality(string)
+    if d.get("seed") is not None:
+        seed = _integer(d["seed"], f"{where}.seed", 0)
+    if kind == "sample":
+        _fields(d, where, "kind", "measure", "seed")
+        return SampledReality(measure_from_spec(
+            d.get("measure"), alphabet_size, f"{where}.measure"), seed)
     if kind == "switch_at":
-        return RealitySpec(
-            "switch_at", step=_integer(d.get("step"), f"{where}.step", 0),
-            before=measure_from_spec(d.get("before"), alphabet_size,
-                                     f"{where}.before"),
-            after=measure_from_spec(d.get("after"), alphabet_size,
-                                    f"{where}.after"),
-            seed=seed)
+        _fields(d, where, "kind", "step", "before", "after", "seed")
+        return SwitchingReality(
+            _integer(d.get("step"), f"{where}.step", 0),
+            measure_from_spec(d.get("before"), alphabet_size, f"{where}.before"),
+            measure_from_spec(d.get("after"), alphabet_size, f"{where}.after"),
+            seed)
     raise ConfigError(f"{where}.kind: unknown reality kind {kind!r}")
 
 
@@ -130,9 +148,9 @@ def _reality_spec(d: dict, alphabet_size: int, t: int, where: str
 class ExperimentConfig:
     alphabet_size: int
     t: int
-    forecaster_i: ForecasterSpec
-    forecaster_ii: ForecasterSpec
-    reality: RealitySpec
+    forecaster_i: CoherentForecaster | ScriptedForecaster
+    forecaster_ii: CoherentForecaster | ScriptedForecaster
+    reality: SampledReality | ScriptedReality | SwitchingReality
     j_max: int = 20
     m_max: int = 64
     lim_wrap: bool = False
@@ -145,14 +163,18 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):
             raise ConfigError("config root must be an object")
+        _fields(d, "", "alphabet_size", "T", "forecaster_I", "forecaster_II",
+                "reality", "sceptic", "m_report", "seed", "budget")
         for key in ("alphabet_size", "T"):
             if key not in d:
                 raise ConfigError(f"missing field {key!r}")
         a = _integer(d["alphabet_size"], "alphabet_size", 1)
         t = _integer(d["T"], "T", 0)
+        seed = _integer(d.get("seed", 0), "seed", 0)
         sceptic = d.get("sceptic", {})
         if not isinstance(sceptic, dict):
             raise ConfigError("sceptic: must be an object")
+        _fields(sceptic, "sceptic", "J", "M_max", "lim_wrap")
         lim_wrap = sceptic.get("lim_wrap", False)
         if not isinstance(lim_wrap, bool):  # bool("false") is True
             raise ConfigError(f"sceptic.lim_wrap: need a boolean, got {lim_wrap!r}")
@@ -160,23 +182,21 @@ class ExperimentConfig:
         # type routes serve it, and an untyped pair raises BudgetExceeded
         return ExperimentConfig(
             alphabet_size=a, t=t,
-            forecaster_i=_forecaster_spec(d.get("forecaster_I"), a, "forecaster_I"),
-            forecaster_ii=_forecaster_spec(d.get("forecaster_II"), a,
-                                           "forecaster_II"),
-            reality=_reality_spec(d.get("reality"), a, t, "reality"),
+            forecaster_i=_forecaster(d.get("forecaster_I"), a, "forecaster_I"),
+            forecaster_ii=_forecaster(d.get("forecaster_II"), a, "forecaster_II"),
+            reality=_reality(d.get("reality"), a, t, seed, "reality"),
             j_max=_integer(sceptic.get("J", 20), "sceptic.J", 1),
             m_max=_integer(sceptic.get("M_max", 64), "sceptic.M_max", 1),
             lim_wrap=lim_wrap,
             m_report=_integer(d.get("m_report", 8), "m_report", 0),
-            seed=_integer(d.get("seed", 0), "seed", 0),
+            seed=seed,
             budget=_integer(d.get("budget", DEFAULT_BUDGET), "budget", 1),
             raw=d,
         )
 
     def forecasters(self) -> Tuple[object, object]:
-        """Fresh forecasters I and II for one game."""
-        return (make_forecaster(self.forecaster_i),
-                make_forecaster(self.forecaster_ii))
+        """Forecasters I and II, as one game plays them."""
+        return self.forecaster_i, self.forecaster_ii
 
     @staticmethod
     def load(path_or_name: str) -> "ExperimentConfig":
@@ -185,11 +205,13 @@ class ExperimentConfig:
         if path_or_name in cat:
             return ExperimentConfig.from_dict(cat[path_or_name])
         try:
-            with open(path_or_name) as fh:
+            with open(path_or_name, encoding="utf-8") as fh:
                 d = json.load(fh)
         except FileNotFoundError as e:
             raise ConfigError(f"no such config file or scenario: "
                               f"{path_or_name!r}") from e
+        except (OSError, UnicodeDecodeError) as e:  # a folder, unreadable
+            raise ConfigError(f"cannot read config {path_or_name!r}: {e}") from e
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path_or_name}: invalid JSON at line "
                               f"{e.lineno}: {e.msg}") from e
@@ -293,8 +315,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     if cfg.lim_wrap:
         on_step = lambda n, y, pair, state: record(n, y, pair, sceptic)
     capped = HorizonProfile.capped_searches
-    play(cfg.forecasters(), sceptic, make_reality(cfg.reality, cfg.seed),
-         cfg.t, cfg.budget, on_step)
+    play(cfg.forecasters(), sceptic, cfg.reality, cfg.t, cfg.budget, on_step)
     capped = HorizonProfile.capped_searches - capped
     if capped:
         logging.getLogger(__name__).warning(
@@ -342,12 +363,6 @@ def summarize(trace: Trace, tol_merge: float = 1e-3,
 
 # -- oracles ---------------------------------------------------------------
 
-def _coherent_base(spec: ForecasterSpec) -> Measure:
-    if spec.kind != "coherent":
-        raise DomainError("oracle requires a coherent forecaster")
-    return spec.measure
-
-
 def run_on_path(cfg: ExperimentConfig, path: Sequence[int]) -> Tuple[float, float]:
     """Final capitals when Reality plays exactly ``path``."""
     state = play(cfg.forecasters(),
@@ -361,11 +376,13 @@ def oracle_expect_capital(cfg: ExperimentConfig, side: str) -> float:
     a, t = cfg.alphabet_size, cfg.t
     if a ** t > 2 ** 20:
         raise BudgetExceeded(f"{a}^{t} paths exceed the oracle budget")
-    base = _coherent_base(cfg.forecaster_i if side == "I" else cfg.forecaster_ii)
+    f = cfg.forecaster_i if side == "I" else cfg.forecaster_ii
+    if not isinstance(f, CoherentForecaster):
+        raise DomainError("oracle requires a coherent forecaster")
     total = 0.0
     for path in itertools.product(range(a), repeat=t):
         k_i, k_ii = run_on_path(cfg, path)
-        total += math.exp(base.cylinder_log_prob(path)) * \
+        total += math.exp(f.measure.cylinder_log_prob(path)) * \
             (k_i if side == "I" else k_ii)
     return total
 

@@ -15,7 +15,6 @@ from mergebet.measures import Alphabet, bernoulli
 from mergebet.metrics import (_chain_affinity, hellinger_restricted,
                               hellinger_tv_bounds, tv_restricted)
 from mergebet.protocol import BetOrder, ForecastPair, ProtocolState, order_cost
-from mergebet.scenarios import make_forecaster, make_reality
 from mergebet.strategy import LimWrapConfig, MixtureSceptic, build_hedge, \
     wrap_capital_path
 
@@ -31,8 +30,7 @@ def report(capsys, name, ok, detail):
 def replay(cfg):
     """Drive the protocol keeping the mixture visible (same path as the cfg)."""
     mix = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
-    reality = make_reality(cfg.reality, default_seed=cfg.seed)
-    play(cfg.forecasters(), mix, reality, cfg.t, cfg.budget)
+    play(cfg.forecasters(), mix, cfg.reality, cfg.t, cfg.budget)
     return mix
 
 
@@ -109,8 +107,7 @@ def test_criterion_4_singular_pair_inertness(capsys):
     trace = run_experiment(cfg)
     bets_small_j = sum(trace.component_bets[:18])
 
-    f_i = make_forecaster(cfg.forecaster_i)
-    f_ii = make_forecaster(cfg.forecaster_ii)
+    f_i, f_ii = cfg.forecasters()
     p_i, p_ii = f_i.announce(1, ()), f_ii.announce(1, ())
     worst_gap = max(1.0 - hellinger_restricted(p_i, p_ii, m)
                     for m in range(1, 11))

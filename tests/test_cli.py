@@ -152,6 +152,8 @@ def test_exit_code_config_error(tmp_path):
     bad = write_config(tmp_path, {"alphabet_size": 2}, "bad.json")
     assert exit_code(["run", "--config", bad,
                       "--out", str(tmp_path / "o")]) == 2
+    assert exit_code(["run", "--config", str(tmp_path),
+                      "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("overrides", [
@@ -166,11 +168,21 @@ def test_exit_code_config_error(tmp_path):
                  "after": FAIR}},
     {"forecaster_I": {"kind": "coherent", "measure": {
         "family": "conditioned", "base": FAIR, "prefix": [0.9, 1.2]}}},
+    {"Tee": 6},
 ])
 def test_exit_code_config_error_on_bad_fields(tmp_path, overrides):
     cfg = write_config(tmp_path, tiny_config(**overrides))
     assert exit_code(["run", "--config", cfg,
                       "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]])
+def test_exit_code_2_when_out_names_a_file(tmp_path, command):
+    cfg = write_config(tmp_path, tiny_config())
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert exit_code([*command, "--config", cfg, "--out", str(taken)]) == 2
+    assert taken.read_text() == "kept"
 
 
 def test_exit_code_cromwell_violation(tmp_path):

@@ -1,7 +1,10 @@
 """Config parsing, experiment driver, traces, and brute-force oracles."""
 
+import errno
 import json
 import math
+import os
+import re
 
 import numpy as np
 import pytest
@@ -11,10 +14,10 @@ from mergebet.harness import (ExperimentConfig, TRACE_HEADER,
                               incremental_capitals, measure_from_spec,
                               oracle_expect_capital, oracle_metrics, play,
                               run_experiment, run_on_path, summarize)
-from mergebet import measures, metrics, protocol, strategy
+from mergebet import harness, measures, metrics, protocol, strategy
 from mergebet.measures import Conditioned, FiniteMixture, IID, bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
-from mergebet.scenarios import catalog, make_reality
+from mergebet.scenarios import catalog
 from mergebet.strategy import MixtureSceptic, wrap_capital_path
 
 FAIR = {"family": "iid", "weights": [0.5, 0.5]}
@@ -145,9 +148,61 @@ def test_config_bounds():
                                         "base": FAIR, "prefix": [0.9, 1.2]}}}),
     ("reality.string", {"T": 10, "reality": {"kind": "scripted",
                                              "string": [0, 1, 1]}}),
+    ("forecaster_I.kind", {"forecaster_I": {"kind": "psychic"}}),
+    ("forecaster_I.measures", {"forecaster_I": {"kind": "scripted",
+                                                "measures": []}}),
+    ("forecaster_II.measure", {"forecaster_II": {"kind": "coherent"}}),
+    ("reality.kind", {"reality": {"kind": "chaos"}}),
+    ("reality.before", {"reality": {"kind": "switch_at", "step": 3}}),
+    ("reality.measure", {"reality": {"kind": "sample"}}),
+    ("reality.string", {"reality": {"kind": "scripted"}}),
 ])
 def test_config_rejects_bad_integers_and_symbols(field, overrides):
     with pytest.raises(ConfigError, match=field):
+        ExperimentConfig.from_dict(tiny_config(**overrides))
+
+
+CHAIN = {"family": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]}
+LEARNER = {"family": "beta_learner", "pseudo_counts": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("path, overrides", [
+    ("Tee", {"Tee": 5}),
+    ("sceptic.j", {"sceptic": {"j": 3}}),
+    ("sceptic.M-max", {"sceptic": {"J": 3, "M-max": 5}}),
+    ("forecaster_I.measures", {"forecaster_I": {
+        "kind": "coherent", "measure": FAIR, "measures": [FAIR]}}),
+    ("forecaster_II.seed", {"forecaster_II": {
+        "kind": "scripted", "measures": [FAIR], "seed": 1}}),
+    ("reality.string", {"reality": {"kind": "sample", "measure": FAIR,
+                                    "string": [0]}}),
+    ("reality.seed", {"reality": {"kind": "scripted", "string": [0] * 6,
+                                  "seed": 1}}),
+    ("reality.measure", {"reality": {"kind": "switch_at", "step": 2,
+                                     "before": FAIR, "after": FAIR,
+                                     "measure": FAIR}}),
+    ("forecaster_I.measure.flor", {"forecaster_I": {
+        "kind": "coherent", "measure": dict(FAIR, flor=1e-3)}}),
+    ("forecaster_I.measure.weights", {"forecaster_I": {
+        "kind": "coherent", "measure": dict(CHAIN, weights=[0.5, 0.5])}}),
+    ("forecaster_I.measure.floor", {"forecaster_I": {
+        "kind": "coherent", "measure": dict(LEARNER, floor=1e-3)}}),
+    ("forecaster_I.measure.components[1].flor", {"forecaster_I": {
+        "kind": "coherent", "measure": {
+            "family": "mixture", "weights": [0.5, 0.5],
+            "components": [FAIR, dict(FAIR, flor=1e-3)]}}}),
+    ("reality.before.base.prior", {"reality": {
+        "kind": "switch_at", "step": 2, "after": FAIR, "before": {
+            "family": "conditioned", "prefix": [1],
+            "base": dict(LEARNER, prior=2)}}}),
+    ("reality.measure.weights", {"reality": {"kind": "sample", "measure": {
+        "family": "conditioned", "prefix": [1], "base": CHAIN,
+        "weights": [0.5, 0.5]}}}),
+])
+def test_config_refuses_unknown_keys(path, overrides):
+    # a key that its level does not read would be silently dropped
+    with pytest.raises(ConfigError,
+                       match=f"^{re.escape(path)}: unknown field$"):
         ExperimentConfig.from_dict(tiny_config(**overrides))
 
 
@@ -161,6 +216,32 @@ def test_config_load_rejects_bad_json(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ConfigError, match="invalid JSON"):
         ExperimentConfig.load(str(bad))
+
+
+def test_config_load_rejects_a_directory(tmp_path):
+    with pytest.raises(ConfigError, match="Is a directory"):
+        ExperimentConfig.load(str(tmp_path))
+
+
+def test_config_load_rejects_an_unreadable_file(tmp_path, monkeypatch):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(tiny_config()))
+    path.chmod(0)
+    if os.access(path, os.R_OK):  # a superuser reads it all the same
+
+        def denied(file, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", file)
+
+        monkeypatch.setattr(harness, "open", denied, raising=False)
+    with pytest.raises(ConfigError, match="Permission denied"):
+        ExperimentConfig.load(str(path))
+
+
+def test_config_load_rejects_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes('{"T": 6, "caf\u00e9": 1}'.encode("latin-1"))
+    with pytest.raises(ConfigError, match="utf-8"):
+        ExperimentConfig.load(str(path))
 
 
 def test_config_load_from_file(tmp_path):
@@ -381,7 +462,7 @@ def test_legs_step_onto_the_announced_measures(family):
                 held[0] += 1
 
     play(cfg.forecasters(), MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget),
-         make_reality(cfg.reality, cfg.seed), cfg.t, cfg.budget, check)
+         cfg.reality, cfg.t, cfg.budget, check)
     assert held[0] > 0
 
 
@@ -471,6 +552,26 @@ def test_trace_reproducible_bit_identical(tmp_path):
     assert a == b
     assert a.splitlines()[0] == TRACE_HEADER
     assert len(a.splitlines()) == 41
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"reality": {"kind": "switch_at", "step": 12, "before": FAIR, "seed": 4,
+                 "after": {"family": "iid", "weights": [0.8, 0.2]}}},
+    {"forecaster_I": {"kind": "scripted", "measures": [
+        {"family": "iid", "weights": [0.9, 0.1]},
+        {"family": "iid", "weights": [0.2, 0.8]}]},
+     "forecaster_II": {"kind": "coherent", "measure": LEARNER}},
+])
+def test_a_parsed_config_replays(overrides):
+    # a game starts at n = 1, so a second run of one config is a fresh one
+    d = tiny_config(T=40, sceptic={"J": 4, "M_max": 8}, seed=3, **overrides)
+    cfg = ExperimentConfig.from_dict(d)
+    first = run_experiment(cfg)
+    assert sum(first.component_bets) > 0
+    assert run_experiment(cfg).to_csv() == first.to_csv()
+    assert run_experiment(ExperimentConfig.from_dict(d)).to_csv() == \
+        first.to_csv()
 
 
 def test_trace_header_fixed():

@@ -11,23 +11,22 @@ from mergebet.errors import DomainError
 from mergebet.measures import (BetaLearner, FiniteMixture, IID, Markov, Measure,
                                bernoulli)
 from mergebet.metrics import hellinger_restricted
-from mergebet.scenarios import (CoherentForecaster, ForecasterSpec,
-                                RealitySpec, SampledReality, SwitchingReality,
-                                _draw, catalog, make_forecaster, make_reality)
+from mergebet.scenarios import (CoherentForecaster, SampledReality,
+                                ScriptedForecaster, ScriptedReality,
+                                SwitchingReality, _draw, catalog)
 
 
 # -- forecasters ---------------------------------------------------------------
 
 
 def test_coherent_iid_announces_same_measure():
-    f = make_forecaster(ForecasterSpec("coherent", measure=bernoulli(0.4)))
+    f = CoherentForecaster(bernoulli(0.4))
     for n, h in [(1, ()), (2, (1,)), (3, (1, 0))]:
         np.testing.assert_allclose(f.announce(n, h).one_step(()), [0.6, 0.4])
 
 
 def test_coherent_learner_posterior():
-    f = make_forecaster(ForecasterSpec("coherent",
-                                       measure=BetaLearner([0.5, 0.5])))
+    f = CoherentForecaster(BetaLearner([0.5, 0.5]))
     f.announce(1, ())
     f.announce(2, (1,))
     m = f.announce(3, (1, 1))
@@ -36,7 +35,7 @@ def test_coherent_learner_posterior():
 
 def test_coherent_identity_to_depth_four():
     base = BetaLearner([1.0, 2.0])
-    f = make_forecaster(ForecasterSpec("coherent", measure=base))
+    f = CoherentForecaster(base)
     history = (0, 1, 1)
     announced = f.announce(1, history)
     conditional = base.condition(history)
@@ -48,7 +47,7 @@ def test_coherent_identity_to_depth_four():
 
 def test_coherent_cache_handles_restarts():
     base = BetaLearner([0.5, 0.5])
-    f = make_forecaster(ForecasterSpec("coherent", measure=base))
+    f = CoherentForecaster(base)
     f.announce(1, ())
     f.announce(2, (1,))
     f.announce(3, (1, 1))
@@ -60,7 +59,7 @@ def test_coherent_cache_handles_restarts():
 
 def test_coherent_cache_extends_a_growing_list_and_rechecks_others():
     base = BetaLearner([0.5, 0.5])
-    f = make_forecaster(ForecasterSpec("coherent", measure=base))
+    f = CoherentForecaster(base)
     history = []
     assert f.announce(1, history) is base
     for n, y in enumerate((1, 1, 0), start=2):
@@ -92,26 +91,17 @@ def test_memoryless_base_is_its_own_conditional(monkeypatch):
 
 def test_scripted_forecaster_cycles():
     p, q = bernoulli(0.7), bernoulli(0.3)
-    f = make_forecaster(ForecasterSpec("scripted", measures=[p, q]))
+    f = ScriptedForecaster([p, q])
     assert f.announce(1, ()) is p
     assert f.announce(2, (0,)) is q
     assert f.announce(3, (0, 1)) is p
-
-
-def test_forecaster_spec_validation():
-    with pytest.raises(DomainError):
-        make_forecaster(ForecasterSpec("coherent"))
-    with pytest.raises(DomainError):
-        make_forecaster(ForecasterSpec("scripted", measures=[]))
-    with pytest.raises(DomainError):
-        make_forecaster(ForecasterSpec("psychic"))
 
 
 # -- reality -----------------------------------------------------------------
 
 
 def test_scripted_reality_plays_string():
-    r = make_reality(RealitySpec("scripted", string=(0, 1, 0, 1)))
+    r = ScriptedReality((0, 1, 0, 1))
     got = [r.next(n, ()) for n in range(1, 5)]
     assert got == [0, 1, 0, 1]
     with pytest.raises(DomainError):
@@ -119,16 +109,13 @@ def test_scripted_reality_plays_string():
 
 
 def test_sampled_reality_deterministic():
-    spec = RealitySpec("sample", measure=bernoulli(0.5), seed=7)
-    a = [make_reality(spec).next(n, ()) for n in range(1, 51)]
-    b = [make_reality(spec).next(n, ()) for n in range(1, 51)]
+    a = [SampledReality(bernoulli(0.5), 7).next(n, ()) for n in range(1, 51)]
+    b = [SampledReality(bernoulli(0.5), 7).next(n, ()) for n in range(1, 51)]
     assert a == b
 
 
 def test_switching_reality_frequency():
-    spec = RealitySpec("switch_at", step=100, before=bernoulli(0.5),
-                       after=bernoulli(0.9), seed=11)
-    r = make_reality(spec)
+    r = SwitchingReality(100, bernoulli(0.5), bernoulli(0.9), 11)
     draws = [r.next(n, ()) for n in range(1, 10101)]
     late = draws[100:]
     freq = sum(late) / len(late)
@@ -163,6 +150,18 @@ def test_realities_draw_the_same_paths_one_symbol_at_a_time():
         9, lambda n: before if n <= 150 else chain, 400)
 
 
+def test_a_sampling_reality_restarts_its_draws_at_step_one():
+    # a game starts at n = 1, so one Reality object replays its path
+    for reality in (SampledReality(bernoulli(0.3), 7),
+                    SwitchingReality(20, bernoulli(0.3), bernoulli(0.8), 7)):
+        first = play_reality(reality, 60)
+        assert play_reality(reality, 60) == first
+        assert play_reality(reality, 30) == first[:30]
+    # a first call past step 1 builds the generator as step 1 would
+    assert SampledReality(bernoulli(0.3), 7).next(5, [0, 1, 0, 1]) == \
+        SampledReality(bernoulli(0.3), 7).next(1, [])
+
+
 def test_mixture_reality_costs_linear_time(monkeypatch):
     calls = [0]
     one_step = Markov.one_step
@@ -179,17 +178,6 @@ def test_mixture_reality_costs_linear_time(monkeypatch):
     path = play_reality(SampledReality(mix, 3), t)
     assert len(path) == t
     assert calls[0] <= 4 * t  # each step: one law per component, twice
-
-
-def test_reality_spec_validation():
-    with pytest.raises(DomainError):
-        make_reality(RealitySpec("sample"))
-    with pytest.raises(DomainError):
-        make_reality(RealitySpec("scripted"))
-    with pytest.raises(DomainError):
-        make_reality(RealitySpec("switch_at", step=3))
-    with pytest.raises(DomainError):
-        make_reality(RealitySpec("chaos"))
 
 
 # -- singular pair -------------------------------------------------------------
