@@ -16,9 +16,8 @@ from .metrics import (DEFAULT_BUDGET, HorizonProfile, expectation_sqrt_ratio,
 from .protocol import (BetOrder, ForecastPair, HedgeLeg, Portfolio,
                        ProtocolState, order_cost)
 from .scenarios import catalog
-from .strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
-                       LimWrappedSceptic, MixtureSceptic, build_hedge,
-                       wrap_capital_path)
+from .strategy import (EpsilonComponent, LimWrap, LimWrappedSceptic,
+                       MixtureSceptic, build_hedge, wrap_capital_path)
 from .harness import (ExperimentConfig, Trace, incremental_capitals,
                       oracle_expect_capital, oracle_metrics, play,
                       run_experiment, run_on_path, summarize)

@@ -3,9 +3,9 @@
 Subcommands: ``run`` a single experiment, ``sweep`` over seeds, ``oracle``
 checks (martingale / metrics / accounting), and ``scenarios --list``.
 Exit codes: 0 success, 1 check failed, 2 config or usage error (also an
-unknown key, an unreadable config, an ``--out`` that is a file), 3 Cromwell
-violation, 4 enumeration budget exceeded, 5 a capital not finite (every file
-written).
+unknown key, an unreadable config or a non-finite number in it, an ``--out``
+that is a file or lies below one), 3 Cromwell violation, 4 enumeration budget
+exceeded, 5 a capital not finite (every file written).
 """
 
 from __future__ import annotations
@@ -30,6 +30,15 @@ def cli():
     """Simulator of the two-forecaster betting protocol."""
 
 
+def _outdir(out: str) -> Path:
+    """``--out``, created before any work, so that a path below a file exits 2."""
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out: {e}") from e
+    return Path(out)
+
+
 @cli.command()
 @click.option("--config", required=True,
               help="Path to a JSON config, or a shipped scenario name.")
@@ -37,10 +46,8 @@ def cli():
               help="Output directory for trace.csv and summary.json.")
 def run(config, out):
     """Run one experiment and write its trace and summary."""
-    cfg = ExperimentConfig.load(config)
-    trace = run_experiment(cfg)
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(out)
+    trace = run_experiment(ExperimentConfig.load(config))
     trace.write_csv(outdir / "trace.csv")
     report = summarize(trace) if len(trace) else {"steps": 0}
     with open(outdir / "summary.json", "w") as fh:
@@ -56,6 +63,7 @@ def run(config, out):
 @click.option("--out", required=True, type=click.Path(file_okay=False))
 def sweep(config, seeds, out):
     """Run one experiment per seed; one trace file per run."""
+    outdir = _outdir(out)
     cfg = ExperimentConfig.load(config)
     try:
         lo, hi = (int(s) for s in seeds.split(".."))
@@ -63,8 +71,6 @@ def sweep(config, seeds, out):
             raise ValueError("empty range")
     except ValueError:
         raise ConfigError(f"--seeds must be a range a..b, a <= b: {seeds!r}")
-    outdir = Path(out)
-    outdir.mkdir(parents=True, exist_ok=True)
     broken = 0  # runs with a capital that is not finite
     for seed in range(lo, hi + 1):
         d = dict(cfg.raw)
@@ -149,7 +155,7 @@ class _RandomPlay:
         self.orders.append(tuple(step))
         return BetOrder(dict(step[0])), BetOrder(dict(step[1]))
 
-    def settle(self, y):
+    def settle(self, book):
         pass
 
     def next(self, n, history):

@@ -92,7 +92,7 @@ def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
             raise ConfigError(f"{where}: unknown measure family {fam!r}")
     except KeyError as e:
         raise ConfigError(f"{where}: missing field {e.args[0]!r}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:  # 10**400 too
         raise ConfigError(f"{where}: {e}") from e
     if m.a != alphabet_size:
         raise ConfigError(f"{where}: measure alphabet {m.a} != {alphabet_size}")
@@ -204,9 +204,15 @@ class ExperimentConfig:
         cat = catalog()
         if path_or_name in cat:
             return ExperimentConfig.from_dict(cat[path_or_name])
+
+        def finite(s: str) -> float:  # NaN, ±Infinity, and 1e999 read as inf
+            if math.isfinite(v := float(s)):
+                return v
+            raise ConfigError(f"{path_or_name}: non-finite number {s}")
+
         try:
             with open(path_or_name, encoding="utf-8") as fh:
-                d = json.load(fh)
+                d = json.load(fh, parse_float=finite, parse_constant=finite)
         except FileNotFoundError as e:
             raise ConfigError(f"no such config file or scenario: "
                               f"{path_or_name!r}") from e
@@ -271,8 +277,8 @@ def play(forecasters, sceptic, reality, t: int, budget: int = DEFAULT_BUDGET,
     engine settles (the one place a hedge leg advances) and then the Sceptic
     settles. ``on_step(n, y, pair, state)`` sees the round's announced pair
     and the settled engine. A Sceptic has ``step_orders(pair)``, returning
-    the orders of sides I and II, and ``settle(y)``; a Reality has
-    ``next(n, history)``.
+    the orders of sides I and II, and ``settle(book)``, which reads the
+    settled engine; a Reality has ``next(n, history)``.
     """
     f_i, f_ii = forecasters
     DEEPEST.clear()  # a game's type route follows its own horizons
@@ -288,7 +294,7 @@ def play(forecasters, sceptic, reality, t: int, budget: int = DEFAULT_BUDGET,
         announced, pair = pair, ForecastPair(f_i.announce(n + 1, history),
                                              f_ii.announce(n + 1, history))
         state.settle_step(y, pair)
-        sceptic.settle(y)
+        sceptic.settle(state)
         if on_step is not None:
             on_step(n, y, announced, state)
     return state
@@ -300,22 +306,20 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     sceptic = LimWrappedSceptic(mixture) if cfg.lim_wrap else mixture
     trace = Trace(component_epsilons=[c.epsilon for c in mixture.components])
 
-    def record(n: int, y: int, pair: ForecastPair, book):
+    def record(n: int, y: int, pair: ForecastPair, state: ProtocolState):
         # after the horizon search, so an enumerated pair is walked once
         h_m = hellinger_restricted(pair.p_i, pair.p_ii, cfg.m_report,
                                    budget=cfg.budget)
         tv_m = tv_restricted(pair.p_i, pair.p_ii, cfg.m_report, cfg.budget)
-        lk1 = book.log2_capital("I")
-        lk2 = book.log2_capital("II")
+        book = sceptic if cfg.lim_wrap else state  # lim-wraps state.capital
+        lk1 = math.log2(max(book.capital("I"), 1e-300))
+        lk2 = math.log2(max(book.capital("II"), 1e-300))
         trace.rows.append(TraceRow(
             n, y, h_m, tv_m, lk1, lk2, 0.5 * (lk1 + lk2),
             mixture.last_active, int(mixture.last_bets_placed)))
 
-    on_step = record  # rows read the engine's book, or the wrapped capital
-    if cfg.lim_wrap:
-        on_step = lambda n, y, pair, state: record(n, y, pair, sceptic)
     capped = HorizonProfile.capped_searches
-    play(cfg.forecasters(), sceptic, cfg.reality, cfg.t, cfg.budget, on_step)
+    play(cfg.forecasters(), sceptic, cfg.reality, cfg.t, cfg.budget, record)
     capped = HorizonProfile.capped_searches - capped
     if capped:
         logging.getLogger(__name__).warning(

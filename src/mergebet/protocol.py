@@ -23,7 +23,8 @@ The engine is the only book of hedge legs. An order carries each leg next to
 a coefficient (the component's mixture weight), and the engine books that
 very object: ``settle_step`` is the one place a leg advances, and a strategy
 that built the leg reads its state from it. A mark reads, and a settlement
-steps, each distinct pair (own, other) of its legs once.
+steps, each distinct pair (own, other) of its legs once. ``capital``, cash
+plus that mark, is the one valuation of a side; lim-wrap transforms it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import DomainError, PhaseError
 from .measures import Alphabet, Measure, String
-from .metrics import DEFAULT_BUDGET, hellinger_restricted, pair_profile
+from .metrics import DEFAULT_BUDGET, pair_profile
 
 SIDES = ("I", "II")
 
@@ -66,10 +67,6 @@ class HedgeLeg:
     own: Measure
     other: Measure
     horizon: int
-
-    def value(self, budget: int = DEFAULT_BUDGET) -> float:
-        return self.scale * hellinger_restricted(self.own, self.other,
-                                                 self.horizon, budget=budget)
 
     def advance(self, y: int, step: Optional[tuple] = None) -> Optional[float]:
         """Observe one symbol, already checked against the alphabet; returns
@@ -222,6 +219,3 @@ class ProtocolState:
         pf = self.portfolios[side]
         return pf.cash + order_cost(BetOrder(pf.contracts, pf.legs),
                                     self.forecasts.side(side), self.budget)
-
-    def log2_capital(self, side: str) -> float:
-        return math.log2(max(self.capital(side), 1e-300))

@@ -14,13 +14,14 @@ cash; each step one search of the announced pair's engine answers every idle
 component's threshold 1 - epsilon. ``lim_wrap`` converts an unbounded
 capital path into a divergent one by splitting capital across
 doubling-threshold accounts that freeze once they hit their target; it
-transforms the mixture's capital and places no order of its own.
+transforms the book's capital and places no order of its own.
 
-The protocol engine holds the only book of hedge legs. A component's order
-carries the legs it built, at its mixture weight rather than as rescaled
-copies; the engine advances them, and each component derives its capital and
-its cycle records from those same legs. The Sceptic's ``settle`` runs after
-the engine's, and only closes expired cycles and updates lim-wrap.
+The protocol engine holds the only book of hedge legs, and its ``capital``
+is the only valuation of the Sceptic's capital. A component's order carries
+the legs it built, at its mixture weight rather than as rescaled copies; the
+engine advances them, and each component reads its cycle records from those
+same legs. The Sceptic's ``settle(book)`` runs after the engine's, and only
+closes expired cycles and feeds the book's capital to lim-wrap.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .errors import DomainError
 from .measures import Measure
 from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
                       tree_walk)
-from .protocol import BetOrder, ForecastPair, HedgeLeg
+from .protocol import BetOrder, ForecastPair, HedgeLeg, ProtocolState
 
 
 def build_hedge(p_own: Measure, p_other: Measure, m: int, k: float,
@@ -68,15 +69,14 @@ class EpsilonComponent:
     Component-local capitals start at 1 per side; while holding, the entire
     capital sits in the open pair of hedge legs and no new bets are placed.
     The legs are the very objects the protocol engine books and advances, so
-    the component keeps no account of its own while holding: it marks its
-    capital from the legs, and when they expire their scales are its capitals.
+    the component keeps no account of its own while holding: when the legs
+    expire, their scales are its capitals.
     """
 
-    def __init__(self, epsilon: float, budget: int = DEFAULT_BUDGET):
+    def __init__(self, epsilon: float):
         if not 0.0 < epsilon < 1.0:
             raise DomainError("epsilon must lie in (0, 1)")
         self.epsilon = epsilon
-        self.budget = budget
         self.capital_i = 1.0
         self.capital_ii = 1.0
         #: the open cycle's legs against forecaster I and II, or None
@@ -109,12 +109,6 @@ class EpsilonComponent:
         self.capital_i, self.capital_ii = pay_i, pay_ii
         self.legs = None
 
-    def capital(self, side: str) -> float:
-        """Component-local capital: the open leg's mark while holding."""
-        if self.legs is None:
-            return self.capital_i if side == "I" else self.capital_ii
-        return self.legs[0 if side == "I" else 1].value(self.budget)
-
 
 class MixtureSceptic:
     """2^-j-weighted mixture of epsilon components plus a cash reserve."""
@@ -128,9 +122,8 @@ class MixtureSceptic:
         self.m_max = m_max
         self.budget = budget
         self.weights = [2.0 ** -(j + 1) for j in range(j_max)]
-        self.components = [EpsilonComponent(2.0 ** -(j + 1), budget)
+        self.components = [EpsilonComponent(2.0 ** -(j + 1))
                            for j in range(j_max)]
-        self.reserve = 1.0 - sum(self.weights)
         self.last_bets_placed = False
         self.last_active = 0
         self._step = 0
@@ -151,25 +144,10 @@ class MixtureSceptic:
         self.last_active = len(self.components) - len(idle) + len(legs_i)
         return BetOrder(legs=legs_i), BetOrder(legs=legs_ii)
 
-    def settle(self, y: int) -> None:
+    def settle(self, book: ProtocolState) -> None:
         """Close expired cycles; the engine has already advanced the legs."""
         for comp in self.components:
             comp.settle()
-
-    def capital(self, side: str) -> float:
-        return math.fsum(w * c.capital(side) for w, c in
-                         zip(self.weights, self.components)) + self.reserve
-
-
-@dataclass
-class LimWrapConfig:
-    """Doubling-threshold accounts for the unbounded-to-divergent transform."""
-
-    num_accounts: int = 30
-
-    def __post_init__(self):
-        if self.num_accounts < 1:
-            raise DomainError("need at least one account")
 
 
 class LimWrap:
@@ -177,11 +155,13 @@ class LimWrap:
     until the base first reaches 2^k, then holds its value as cash forever.
     Accounts freeze in order of k, so ``frozen`` holds accounts 1..len."""
 
-    def __init__(self, cfg: LimWrapConfig = LimWrapConfig()):
-        self.weights = [2.0 ** -k for k in range(1, cfg.num_accounts + 1)]
-        self.targets = [2.0 ** k for k in range(1, cfg.num_accounts + 1)]
+    def __init__(self, num_accounts: int = 30):
+        if num_accounts < 1:
+            raise DomainError("need at least one account")
+        self.weights = [2.0 ** -k for k in range(1, num_accounts + 1)]
+        self.targets = [2.0 ** k for k in range(1, num_accounts + 1)]
         self.frozen: List[float] = []
-        self._head = 2.0 ** -cfg.num_accounts  # the residual, plus each frozen value
+        self._head = 2.0 ** -num_accounts  # the residual, plus each frozen value
 
     def update(self, base_capital: float) -> float:
         k = len(self.frozen)
@@ -196,33 +176,30 @@ class LimWrap:
 
 
 def wrap_capital_path(path: Sequence[float],
-                      cfg: LimWrapConfig = LimWrapConfig()) -> List[float]:
+                      num_accounts: int = 30) -> List[float]:
     """Apply the lim-wrap transform to a scripted base capital path."""
-    wrapper = LimWrap(cfg)
+    wrapper = LimWrap(num_accounts)
     return [wrapper.update(k) for k in path]
 
 
 class LimWrappedSceptic:
-    """Lim-wrap as a transform of the mixture's capital K: account k holds
-    2^-k of the mixture up to its stop time tau_k, so by linearity of the
-    protocol it is worth 2^-k K(min(n, tau_k)), which ``LimWrap.update``
-    computes. The orders, and so the engine's book, are the mixture's own."""
+    """Lim-wrap as a transform of the book's capital K: account k holds 2^-k
+    of the mixture up to its stop time tau_k, so by linearity of the protocol
+    it is worth 2^-k K(min(n, tau_k)), which ``LimWrap.update`` computes. The
+    orders, and so the engine's book, are the mixture's own."""
 
-    def __init__(self, base: MixtureSceptic, cfg: LimWrapConfig = LimWrapConfig()):
+    def __init__(self, base: MixtureSceptic, num_accounts: int = 30):
         self.base = base
-        self.wrappers = {"I": LimWrap(cfg), "II": LimWrap(cfg)}
+        self.wrappers = {"I": LimWrap(num_accounts), "II": LimWrap(num_accounts)}
         self._capital = {"I": 1.0, "II": 1.0}
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
         return self.base.step_orders(forecasts)
 
-    def settle(self, y: int) -> None:
-        self.base.settle(y)
+    def settle(self, book: ProtocolState) -> None:
+        self.base.settle(book)
         for side, wrapper in self.wrappers.items():
-            self._capital[side] = wrapper.update(self.base.capital(side))
+            self._capital[side] = wrapper.update(book.capital(side))
 
     def capital(self, side: str) -> float:
         return self._capital[side]
-
-    def log2_capital(self, side: str) -> float:
-        return math.log2(max(self._capital[side], 1e-300))

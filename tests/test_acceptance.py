@@ -15,8 +15,7 @@ from mergebet.measures import Alphabet, bernoulli
 from mergebet.metrics import (_chain_affinity, hellinger_restricted,
                               hellinger_tv_bounds, tv_restricted)
 from mergebet.protocol import BetOrder, ForecastPair, ProtocolState, order_cost
-from mergebet.strategy import LimWrapConfig, MixtureSceptic, build_hedge, \
-    wrap_capital_path
+from mergebet.strategy import MixtureSceptic, build_hedge, wrap_capital_path
 
 from conftest import random_markov, random_measure, walk_profiles
 
@@ -218,15 +217,15 @@ def test_criterion_7_hedge_spot_values(capsys):
 
 
 def test_criterion_8_lim_wrap_behavior(capsys):
-    cfg = LimWrapConfig(num_accounts=10)
+    accounts = 10
     # base reaches 2, then collapses: the frozen account keeps >= 1 forever
     path_a = [1.0, 1.5, 2.0, 0.25, 0.0, 0.0]
-    wrapped_a = wrap_capital_path(path_a, cfg)
+    wrapped_a = wrap_capital_path(path_a, accounts)
     floor_ok = all(w >= 1.0 for w in wrapped_a[2:])
     # bounded base: wrapped capital never exceeds the supremum of the base
     rng = np.random.default_rng(3)
     path_b = list(rng.uniform(0.0, 9.0, size=500))
-    wrapped_b = wrap_capital_path(path_b, cfg)
+    wrapped_b = wrap_capital_path(path_b, accounts)
     bound_ok = max(wrapped_b) <= max(path_b) + 1e-9
     ok = floor_ok and bound_ok
     report(capsys, "criterion 8 lim_wrap behavior", ok,

@@ -185,6 +185,43 @@ def test_exit_code_2_when_out_names_a_file(tmp_path, command):
     assert taken.read_text() == "kept"
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "0..1"]])
+def test_exit_code_2_before_step_1_when_out_lies_below_a_file(
+        tmp_path, monkeypatch, command):
+    def never(cfg):
+        raise AssertionError("the experiment ran before --out was made")
+
+    monkeypatch.setattr("mergebet.cli.run_experiment", never)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert exit_code([*command, "--config", "incoherent-scripted",
+                      "--out", str(taken / "sub")]) == 2
+    assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("where, literal, message", [
+    ("weights", "NaN", "non-finite number NaN"),
+    ("weights", "Infinity", "non-finite number Infinity"),
+    ("weights", "1e999", "non-finite number 1e999"),
+    ("weights", "1" + "0" * 400, "too large to convert to float"),
+    ("pseudo_counts", "-Infinity", "non-finite number -Infinity"),
+    ("pseudo_counts", "1e999", "non-finite number 1e999"),
+])
+def test_exit_code_2_for_a_non_finite_config_number(tmp_path, capsys, where,
+                                                      literal, message):
+    # json reads NaN and Infinity, 1e999 as inf, and 10^400 as an int that
+    # no float holds; a config refuses them all
+    measure = ({"family": "iid", "weights": ["@", 0.5]} if where == "weights"
+               else {"family": "beta_learner", "pseudo_counts": ["@", 1.0]})
+    text = json.dumps(tiny_config(forecaster_I={"kind": "coherent",
+                                                "measure": measure}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text.replace('"@"', literal))
+    assert exit_code(["run", "--config", str(cfg),
+                      "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_exit_code_cromwell_violation(tmp_path):
     d = tiny_config()
     d["forecaster_I"] = {"kind": "coherent",

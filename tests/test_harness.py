@@ -18,7 +18,7 @@ from mergebet import harness, measures, metrics, protocol, strategy
 from mergebet.measures import Conditioned, FiniteMixture, IID, bernoulli
 from mergebet.protocol import ForecastPair, HedgeLeg, ProtocolState
 from mergebet.scenarios import catalog
-from mergebet.strategy import MixtureSceptic, wrap_capital_path
+from mergebet.strategy import LimWrap, MixtureSceptic, wrap_capital_path
 
 FAIR = {"family": "iid", "weights": [0.5, 0.5]}
 
@@ -616,6 +616,28 @@ def test_lim_wrap_rows_are_the_wrap_of_the_mixtures_capital():
         got = [2.0 ** getattr(r, side) for r in wrapped.rows]
         worst = max(abs(g - w) / w for g, w in zip(got, want))
         assert worst <= 1e-9, (side, worst)
+
+
+@pytest.mark.parametrize("name, t", [("diverge-iid", 400),
+                                     ("incoherent-scripted", 200)])
+def test_lim_wrap_rows_are_the_wrap_of_the_books_capital_bit_for_bit(name, t):
+    # each row's capitals are a separate LimWrap fed ProtocolState.capital,
+    # the one valuation, at each step; the mixture's orders are the same
+    d = catalog()[name]
+    d["T"] = t
+    d["sceptic"] = dict(d["sceptic"], lim_wrap=True)
+    cfg = ExperimentConfig.from_dict(d)
+    wrapped = run_experiment(cfg)
+    wrappers, want = (LimWrap(), LimWrap()), []
+
+    def wrap(n, y, pair, state):
+        want.append(tuple(math.log2(max(w.update(state.capital(side)), 1e-300))
+                          for w, side in zip(wrappers, ("I", "II"))))
+
+    play(cfg.forecasters(), MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget),
+         cfg.reality, cfg.t, cfg.budget, wrap)
+    assert [(r.log2_k1, r.log2_k2) for r in wrapped.rows] == want
+    assert max(k for row in want for k in row) > 1.0  # some account froze
 
 
 def test_summarize_rejects_empty():

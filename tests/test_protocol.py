@@ -210,7 +210,8 @@ def test_symbolic_leg_equals_explicit_hedge():
     h = hellinger_restricted(p, q, m)
     leg = HedgeLeg(1.0 / h, p, q, m)
     explicit = build_hedge(p, q, m, 1.0)
-    assert leg.value() == pytest.approx(order_cost(explicit, p), abs=1e-12)
+    assert order_cost(BetOrder(legs=[(1.0, leg)]), p) == pytest.approx(
+        order_cost(explicit, p), abs=1e-12)
     payoff = None
     for y in (1, 0, 1, 1):
         payoff = leg.advance(y)

@@ -9,9 +9,9 @@ from mergebet.errors import BudgetExceeded, DomainError
 from mergebet.harness import play
 from mergebet.measures import bernoulli
 from mergebet.metrics import hellinger_restricted, pair_profile
-from mergebet.protocol import ForecastPair, HedgeLeg, order_cost
+from mergebet.protocol import BetOrder, ForecastPair, HedgeLeg, order_cost
 from mergebet.scenarios import CoherentForecaster, ScriptedReality
-from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrapConfig,
+from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrappedSceptic,
                                MixtureSceptic, build_hedge, wrap_capital_path)
 
 from conftest import random_measure
@@ -113,7 +113,8 @@ def test_hedge_budget():
 def test_hedge_leg_matches_explicit_value():
     leg = HedgeLeg(2.0 / hellinger_restricted(P04, P06, 5), P04, P06, 5)
     explicit = build_hedge(P04, P06, 5, 2.0)
-    assert leg.value() == pytest.approx(order_cost(explicit, P04), abs=1e-12)
+    assert order_cost(BetOrder(legs=[(1.0, leg)]), P04) == pytest.approx(
+        order_cost(explicit, P04), abs=1e-12)
 
 
 # -- epsilon component ---------------------------------------------------------
@@ -202,8 +203,9 @@ def test_mixture_orders_carry_each_components_legs_at_its_weight():
 def test_mixture_weights_and_reserve():
     mix = MixtureSceptic(j_max=3)
     assert mix.weights == [0.5, 0.25, 0.125]
-    assert mix.reserve == pytest.approx(0.125)
-    assert mix.capital("I") == pytest.approx(1.0, abs=1e-12)
+    # the residual weight stays in the book as cash; components start at 1
+    assert 1.0 - sum(mix.weights) == pytest.approx(0.125)
+    assert all(c.capital_i == c.capital_ii == 1.0 for c in mix.components)
 
 
 def test_mixture_linearity_along_run(rng):
@@ -211,16 +213,16 @@ def test_mixture_linearity_along_run(rng):
 
     def check(n, y, pair, state):
         for side in ("I", "II"):
-            total = mix.capital(side)
-            parts = []
+            parts = [1.0 - sum(mix.weights)]  # the residual, held as cash
             for w, c in zip(mix.weights, mix.components):
                 if c.holding:
                     leg = c.legs[0] if side == "I" else c.legs[1]
-                    parts.append(w * leg.value())
+                    parts.append(w * leg.scale * hellinger_restricted(
+                        leg.own, leg.other, leg.horizon))
                 else:
                     parts.append(w * (c.capital_i if side == "I"
                                       else c.capital_ii))
-            assert total == pytest.approx(sum(parts) + mix.reserve, abs=1e-9)
+            total = math.fsum(parts)
             # cash accounting and component accounting of the same legs
             assert state.capital(side) == pytest.approx(total, abs=1e-9)
 
@@ -251,7 +253,7 @@ def test_limwrap_constant_base():
 
 def test_limwrap_freezes_at_two_then_crash():
     path = [1.0, 2.0, 0.0, 0.0]
-    wrapped = wrap_capital_path(path, LimWrapConfig(num_accounts=2))
+    wrapped = wrap_capital_path(path, num_accounts=2)
     # account 1 froze at 2 * 2^-1 = 1; everything else collapsed
     assert wrapped[1] >= 1.0
     assert wrapped[2] >= 1.0
@@ -260,7 +262,7 @@ def test_limwrap_freezes_at_two_then_crash():
 
 def test_limwrap_five_doublings():
     path = [float(2 ** k) for k in range(1, 6)] + [0.0]
-    wrapped = wrap_capital_path(path, LimWrapConfig(num_accounts=10))
+    wrapped = wrap_capital_path(path, num_accounts=10)
     assert wrapped[-1] >= 5.0
 
 
@@ -272,7 +274,7 @@ def test_limwrap_bounded_by_sup():
 
 
 def test_limwrap_frozen_floor_monotone():
-    wrapper = LimWrap(LimWrapConfig(num_accounts=4))
+    wrapper = LimWrap(num_accounts=4)
     prev = 0.0
     for k in [1.0, 3.0, 0.5, 9.0, 0.1, 20.0]:
         wrapper.update(k)
@@ -281,13 +283,13 @@ def test_limwrap_frozen_floor_monotone():
         prev = floor
 
 
-def limwrap_every_account(cfg, path):
+def limwrap_every_account(num_accounts, path):
     """The wrapped path by a walk over every account at every step."""
-    weights = [2.0 ** -k for k in range(1, cfg.num_accounts + 1)]
-    frozen = [None] * cfg.num_accounts
+    weights = [2.0 ** -k for k in range(1, num_accounts + 1)]
+    frozen = [None] * num_accounts
     out = []
     for base in path:
-        total = 2.0 ** -cfg.num_accounts
+        total = 2.0 ** -num_accounts
         for idx, w in enumerate(weights):
             if frozen[idx] is None and base >= 2.0 ** (idx + 1):
                 frozen[idx] = w * base
@@ -300,21 +302,22 @@ def test_limwrap_update_equals_a_walk_over_every_account_bit_for_bit():
     rng = np.random.default_rng(17)
     most = 0  # accounts frozen by a single update
     for n in (1, 4, 30):
-        cfg = LimWrapConfig(num_accounts=n)
         for _ in range(20):
             # a log2 random walk with dips and jumps, and a crash to zero
             steps = rng.normal(0.0, 1.5, 80) + np.where(
                 rng.random(80) < 0.1, rng.uniform(2.0, 8.0, 80), 0.0)
             path = [float(k) for k in 2.0 ** np.cumsum(steps)] + [0.0, 1.0]
-            wrapper, got = LimWrap(cfg), []
+            wrapper, got = LimWrap(n), []
             for k in path:
                 frozen = len(wrapper.frozen)
                 got.append(wrapper.update(k))
                 most = max(most, len(wrapper.frozen) - frozen)
-            assert got == limwrap_every_account(cfg, path)
+            assert got == limwrap_every_account(n, path)
     assert most >= 3
 
 
 def test_limwrap_config_validation():
-    with pytest.raises(DomainError):
-        LimWrapConfig(num_accounts=0)
+    for make in (LimWrap, lambda n: wrap_capital_path([1.0], n),
+                 lambda n: LimWrappedSceptic(MixtureSceptic(j_max=1), n)):
+        with pytest.raises(DomainError):
+            make(0)

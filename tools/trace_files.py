@@ -6,11 +6,12 @@ Usage (from anywhere):
 
 ROOT is the root of a mergebet checkout (its ``src/`` and ``perfbench/`` are
 imported from there, so one copy of this script can trace two checkouts).
-OUT receives 26 files of ``Trace.to_csv()``: ``catalog/<name>.csv`` for each
-of the four catalog scenarios, and ``<workload>/<label>.csv`` for every
-operation that ``perfbench/workloads.build(workload, 1)`` returns. Two
-checkouts trace alike when ``diff -r OUT1 OUT2`` prints nothing. Nothing is
-written under ROOT.
+OUT receives 30 files of ``Trace.to_csv()``: ``catalog/<name>.csv`` for each
+of the four catalog scenarios, ``catalog-lim-wrap/<name>.csv`` for the same
+four with ``lim_wrap: true`` (so the wrapped capital columns are covered too),
+and ``<workload>/<label>.csv`` for every operation that
+``perfbench/workloads.build(workload, 1)`` returns. Two checkouts trace alike
+when ``diff -r OUT1 OUT2`` prints nothing. Nothing is written under ROOT.
 """
 
 import sys
@@ -25,6 +26,9 @@ def main(root: Path, out: Path) -> int:
     from workloads import NAMES, build
 
     runs = [("catalog", name, cfg) for name, cfg in catalog().items()]
+    runs += [("catalog-lim-wrap", name,
+              dict(cfg, sceptic=dict(cfg["sceptic"], lim_wrap=True)))
+             for name, cfg in catalog().items()]
     runs += [(workload, op.label, op.config)
              for workload in NAMES for op in build(workload, 1)]
     for folder, label, cfg in runs:
