@@ -4,8 +4,8 @@ Subcommands: ``run`` a single experiment, ``sweep`` over seeds, ``oracle``
 checks (martingale / metrics / accounting), and ``scenarios --list``.
 Exit codes: 0 success, 1 check failed, 2 config or usage error (also an
 unknown key, an unreadable config or a non-finite number in it, an ``--out``
-that is a file or lies below one), 3 Cromwell violation, 4 enumeration budget
-exceeded, 5 a capital not finite (every file written).
+that is a file, lies below one or cannot be written), 3 Cromwell violation,
+4 enumeration budget exceeded, 5 a capital not finite (every file written).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ def _outdir(out: str) -> Path:
 @cli.command()
 @click.option("--config", required=True,
               help="Path to a JSON config, or a shipped scenario name.")
-@click.option("--out", required=True, type=click.Path(file_okay=False),
+@click.option("--out", required=True, type=click.Path(file_okay=False, writable=True),
               help="Output directory for trace.csv and summary.json.")
 def run(config, out):
     """Run one experiment and write its trace and summary."""
@@ -60,7 +60,7 @@ def run(config, out):
 @click.option("--config", required=True)
 @click.option("--seeds", required=True,
               help="Inclusive seed range, e.g. 0..99.")
-@click.option("--out", required=True, type=click.Path(file_okay=False))
+@click.option("--out", required=True, type=click.Path(file_okay=False, writable=True))
 def sweep(config, seeds, out):
     """Run one experiment per seed; one trace file per run."""
     outdir = _outdir(out)

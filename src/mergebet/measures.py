@@ -61,6 +61,7 @@ Symbol = int
 String = tuple  # tuple of symbols; () is the empty string
 
 _RAMP = np.arange(256.0)  # Beta rising-factorial offsets; regrown on demand
+_SPREADS: dict = {}  # _collapsed's max(r - li) by id; an entry holds r and li
 
 #: tolerance for checking that a supplied distribution sums to one
 SUM_TOL = 1e-9
@@ -196,11 +197,13 @@ def joint_type(measures: Sequence["Measure"]) -> Optional[Tuple[int, String]]:
 
 def _validated_weights(w, floor: Optional[float]) -> np.ndarray:
     w = np.asarray(w, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise DomainError(f"weights must be finite, got {w}")
     if w.ndim != 1 or w.size < 1:
         raise DomainError("weights must be a 1-d sequence")
     if floor is not None:
         w = np.maximum(w, floor)
-    if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+    if np.any(w <= 0.0):
         raise CromwellViolation(f"weights must be strictly positive, got {w}")
     s = w.sum()
     if abs(s - 1.0) > SUM_TOL:
@@ -375,9 +378,11 @@ class Markov(Measure):
         self._states = {self._context: self}  # one conditional per context, shared
 
     def _norm_table(self, t: np.ndarray, floor) -> np.ndarray:
+        if not np.all(np.isfinite(t)):
+            raise DomainError(f"transition entries must be finite, got {t}")
         if floor is not None:
             t = np.maximum(t, floor)
-        if np.any(t <= 0.0) or not np.all(np.isfinite(t)):
+        if np.any(t <= 0.0):
             raise CromwellViolation("transition table has a nonpositive entry")
         sums = t.sum(axis=-1, keepdims=True)
         if np.any(np.abs(sums - 1.0) > SUM_TOL):
@@ -420,7 +425,9 @@ class BetaLearner(Measure):
 
     def __init__(self, pseudo_counts, alphabet: Optional[Alphabet] = None):
         a = np.asarray(pseudo_counts, dtype=float)
-        if a.ndim != 1 or np.any(a <= 0.0) or not np.all(np.isfinite(a)):
+        if not np.all(np.isfinite(a)):
+            raise DomainError(f"pseudo-counts must be finite, got {a}")
+        if a.ndim != 1 or np.any(a <= 0.0):
             raise CromwellViolation("pseudo-counts must be strictly positive")
         super().__init__(alphabet or Alphabet(a.size))
         if a.size != self.a:
@@ -577,8 +584,13 @@ def _collapsed(lps: list, lw: list) -> Optional[int]:
         return None
     i = lw.index(top)
     li = lps[i]
+    if len(_SPREADS) > 64:  # i.i.d. and Markov rows are memoised: few pairs
+        _SPREADS.clear()
     for k, (r, v) in enumerate(zip(lps, lw)):
-        if k != i and not v + float((r - li).max()) < cut:
+        key = id(r), id(li)
+        if k != i and key not in _SPREADS:
+            _SPREADS[key] = r, li, float((r - li).max())
+        if k != i and not v + _SPREADS[key][2] < cut:
             return None
     return i
 

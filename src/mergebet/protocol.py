@@ -20,11 +20,11 @@ measures themselves (``child`` is memoised), so this is the exact mark at the
 announced forecast and reads the announced pair's engine.
 
 The engine is the only book of hedge legs. An order carries each leg next to
-a coefficient (the component's mixture weight), and the engine books that
-very object: ``settle_step`` is the one place a leg advances, and a strategy
-that built the leg reads its state from it. A mark reads, and a settlement
-steps, each distinct pair (own, other) of its legs once. ``capital``, cash
-plus that mark, is the one valuation of a side; lim-wrap transforms it.
+a coefficient (for the Sceptic, one unit leg per cohort of components at their
+summed stake), and the engine books that very object: ``settle_step`` is the
+one place a leg advances. A mark reads, and a settlement steps, each distinct
+pair (own, other) of its legs once. A side's book is an order plus cash, and
+``capital``, the cash plus that order's cost, is the one valuation of a side.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class ForecastPair:
         raise DomainError(f"unknown side {s!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class HedgeLeg:
     """Symbolic stake of scale * sqrt(other(x)/own(x)) on every x in Y^horizon.
 
@@ -131,12 +131,10 @@ def order_cost(order: BetOrder, forecast: Measure,
 
 
 @dataclass
-class Portfolio:
-    """One side's book: cash plus open contracts (explicit and symbolic)."""
+class Portfolio(BetOrder):
+    """One side's book: cash plus its open stakes and legs, held as an order."""
 
     cash: float = 1.0
-    contracts: Dict[String, float] = field(default_factory=dict)
-    legs: List[Position] = field(default_factory=list)
 
 
 class ProtocolState:
@@ -172,7 +170,7 @@ class ProtocolState:
         pf.cash -= order_cost(order, self.forecasts.side(side), self.budget)
         for x, v in order.stakes.items():
             self.alphabet.check_string(x)
-            pf.contracts[x] = pf.contracts.get(x, 0.0) + v
+            pf.stakes[x] = pf.stakes.get(x, 0.0) + v
         pf.legs.extend(order.legs)
         return self
 
@@ -182,7 +180,7 @@ class ProtocolState:
         for side in SIDES:
             pf = self.portfolios[side]
             new: Dict[String, float] = {}
-            for x, pos in pf.contracts.items():
+            for x, pos in pf.stakes.items():
                 if x[0] != y:
                     continue  # inconsistent prefix: dies at value 0
                 if len(x) == 1:
@@ -190,7 +188,7 @@ class ProtocolState:
                 else:
                     tail = x[1:]
                     new[tail] = new.get(tail, 0.0) + pos
-            pf.contracts = new
+            pf.stakes = new
             kept = []
             for k, leg in pf.legs:
                 pair = leg.own, leg.other
@@ -214,8 +212,6 @@ class ProtocolState:
         return tuple(self._history)
 
     def capital(self, side: str) -> float:
-        if side not in SIDES:
-            raise DomainError(f"unknown side {side!r}")
+        forecast = self.forecasts.side(side)  # refuses an unknown side
         pf = self.portfolios[side]
-        return pf.cash + order_cost(BetOrder(pf.contracts, pf.legs),
-                                    self.forecasts.side(side), self.budget)
+        return pf.cash + order_cost(pf, forecast, self.budget)

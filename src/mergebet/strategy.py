@@ -17,18 +17,20 @@ doubling-threshold accounts that freeze once they hit their target; it
 transforms the book's capital and places no order of its own.
 
 The protocol engine holds the only book of hedge legs, and its ``capital``
-is the only valuation of the Sceptic's capital. A component's order carries
-the legs it built, at its mixture weight rather than as rescaled copies; the
-engine advances them, and each component reads its cycle records from those
-same legs. The Sceptic's ``settle(book)`` runs after the engine's, and only
-closes expired cycles and feeds the book's capital to lim-wrap.
+is the only valuation of the Sceptic's capital. The components that open on
+one step at one horizon m form a cohort: their positions differ only in the
+scale w_j K_j, so the order carries one pair of unit legs (scale 1/H_m) per
+cohort, at the members' sum of w_j K_j. At expiry each member multiplies its
+capitals by the legs' scales, its cycle's multipliers. The Sceptic's
+``settle(book)`` runs after the engine's, and only closes the cohorts that
+expired and feeds the book's capital to lim-wrap.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError
 from .measures import Measure
@@ -67,10 +69,9 @@ class EpsilonComponent:
     """State machine of the fixed-epsilon gambling routine.
 
     Component-local capitals start at 1 per side; while holding, the entire
-    capital sits in the open pair of hedge legs and no new bets are placed.
-    The legs are the very objects the protocol engine books and advances, so
-    the component keeps no account of its own while holding: when the legs
-    expire, their scales are its capitals.
+    capital sits in its cohort's pair of unit hedge legs and no new bets are
+    placed. The legs are the very objects the protocol engine books and
+    advances: when they expire, their scales multiply its capitals.
     """
 
     def __init__(self, epsilon: float):
@@ -79,7 +80,7 @@ class EpsilonComponent:
         self.epsilon = epsilon
         self.capital_i = 1.0
         self.capital_ii = 1.0
-        #: the open cycle's legs against forecaster I and II, or None
+        #: the open cycle's cohort legs against forecaster I and II, or None
         self.legs: Optional[Tuple[HedgeLeg, HedgeLeg]] = None
         self._cycle = (0, 1.0)  # horizon and H_m of the open cycle
         self.bet_steps: List[int] = []
@@ -89,24 +90,20 @@ class EpsilonComponent:
     def holding(self) -> bool:
         return self.legs is not None
 
-    def open_cycle(self, forecasts: ForecastPair, m: int, h: float, step: int):
-        """Stake the whole capital on legs of horizon m (H_m = h) at step."""
-        self.legs = (HedgeLeg(self.capital_i / h, forecasts.p_i,
-                              forecasts.p_ii, m),
-                     HedgeLeg(self.capital_ii / h, forecasts.p_ii,
-                              forecasts.p_i, m))
-        self._cycle = (m, h)
+    def open_cycle(self, legs: Tuple[HedgeLeg, HedgeLeg], h: float, step: int):
+        """Stake the whole capital on unit legs of H_m = h at step."""
+        self.legs, self._cycle = legs, (legs[0].horizon, h)
         self.bet_steps.append(step)
 
     def settle(self) -> None:
         """Close the open cycle once the engine has run its legs to expiry."""
         if self.legs is None or self.legs[0].horizon > 0:
             return
-        pay_i, pay_ii = self.legs[0].scale, self.legs[1].scale
-        self.cycles.append(CycleRecord(
-            self.bet_steps[-1], *self._cycle,
-            pay_i / self.capital_i, pay_ii / self.capital_ii))
-        self.capital_i, self.capital_ii = pay_i, pay_ii
+        mult_i, mult_ii = self.legs[0].scale, self.legs[1].scale
+        self.cycles.append(CycleRecord(self.bet_steps[-1], *self._cycle,
+                                       mult_i, mult_ii))
+        self.capital_i *= mult_i
+        self.capital_ii *= mult_ii
         self.legs = None
 
 
@@ -127,6 +124,8 @@ class MixtureSceptic:
         self.last_bets_placed = False
         self.last_active = 0
         self._step = 0
+        #: settlement step -> the members of the cohorts that expire at it
+        self._due: Dict[int, List[EpsilonComponent]] = {}
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
         self._step += 1
@@ -134,19 +133,27 @@ class MixtureSceptic:
         idle = [(w, c) for w, c in zip(self.weights, self.components)
                 if not c.holding]
         found = engine.search([1.0 - c.epsilon for _, c in idle], self.m_max)
-        legs_i, legs_ii = [], []
-        for (w, comp), m in zip(idle, found):
+        cohorts: Dict[int, list] = {}
+        for wc, m in zip(idle, found):
             if m is not None:
-                comp.open_cycle(forecasts, m, engine.h(m), self._step)
-                legs_i.append((w, comp.legs[0]))
-                legs_ii.append((w, comp.legs[1]))
+                cohorts.setdefault(m, []).append(wc)
+        legs_i, legs_ii = [], []
+        for m, cohort in cohorts.items():
+            h = engine.h(m)
+            legs = (HedgeLeg(1.0 / h, forecasts.p_i, forecasts.p_ii, m),
+                    HedgeLeg(1.0 / h, forecasts.p_ii, forecasts.p_i, m))
+            for _, comp in cohort:
+                comp.open_cycle(legs, h, self._step)
+            legs_i.append((math.fsum(w * c.capital_i for w, c in cohort), legs[0]))
+            legs_ii.append((math.fsum(w * c.capital_ii for w, c in cohort), legs[1]))
+            self._due.setdefault(self._step + m - 1, []).extend(c for _, c in cohort)
         self.last_bets_placed = bool(legs_i)
-        self.last_active = len(self.components) - len(idle) + len(legs_i)
+        self.last_active = len(self.components) - found.count(None)
         return BetOrder(legs=legs_i), BetOrder(legs=legs_ii)
 
     def settle(self, book: ProtocolState) -> None:
-        """Close expired cycles; the engine has already advanced the legs."""
-        for comp in self.components:
+        """Close the cohorts whose legs the engine has run to expiry."""
+        for comp in self._due.pop(self._step, ()):
             comp.settle()
 
 

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
 import mergebet
 from mergebet.cli import cli, main
-from mergebet.harness import TRACE_HEADER
+from mergebet.harness import TRACE_HEADER, ExperimentConfig
 
 from test_harness import FAIR, betting_config, tiny_config
 
@@ -57,7 +58,7 @@ def test_run_writes_trace_and_summary(tmp_path):
 
 
 def test_a_capital_past_floats_exits_5_with_strict_json(tmp_path):
-    # side II's capital passes 2^1024 at step 1373 of seed 1
+    # side II's capital passes 2^1024 at step 1377 of seed 1
     cfg = write_config(tmp_path, betting_config(
         T=1500, sceptic={"J": 10, "M_max": 100}, m_report=8, seed=1))
 
@@ -69,7 +70,7 @@ def test_a_capital_past_floats_exits_5_with_strict_json(tmp_path):
     assert len((out / "trace.csv").read_text().splitlines()) == 1501
     report = json.loads((out / "summary.json").read_text(),
                         parse_constant=refuse)
-    assert report["nonfinite_step"] == 1373
+    assert report["nonfinite_step"] == 1377
     assert report["final_log2_k2"] is None
     assert report["growth_arm"] is None
     assert report["disjunction_satisfied"] is None
@@ -197,6 +198,48 @@ def test_exit_code_2_before_step_1_when_out_lies_below_a_file(
     assert exit_code([*command, "--config", "incoherent-scripted",
                       "--out", str(taken / "sub")]) == 2
     assert taken.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--seeds", "1..2"]])
+def test_exit_code_2_before_step_1_when_out_cannot_be_written(
+        tmp_path, monkeypatch, capsys, command):
+    def never(cfg):
+        raise AssertionError("the experiment ran before --out was checked")
+
+    monkeypatch.setattr("mergebet.cli.run_experiment", never)
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    locked.chmod(0o500)
+    if os.access(locked, os.W_OK):  # a superuser writes it all the same
+        access = os.access
+
+        def denied(path, mode, **kwargs):
+            if Path(path) == locked and mode & os.W_OK:
+                return False
+            return access(path, mode, **kwargs)
+
+        monkeypatch.setattr(os, "access", denied)
+    try:
+        assert exit_code([*command, "--config", "incoherent-scripted",
+                          "--out", str(locked)]) == 2
+    finally:
+        locked.chmod(0o700)
+    assert "is not writable" in capsys.readouterr().err
+    assert not any(locked.iterdir())
+
+
+def test_sweep_exits_2_for_a_non_finite_number_in_a_per_seed_config(
+        tmp_path, monkeypatch, capsys):
+    # each seed's config is parsed again from the loaded dict; a non-finite
+    # number in it (one built in code, as load refuses it in a file) exits 2
+    raw = tiny_config(forecaster_I={"kind": "coherent", "measure": {
+        "family": "iid", "weights": [float("inf"), 0.5]}})
+    monkeypatch.setattr(ExperimentConfig, "load",
+                        staticmethod(lambda path: SimpleNamespace(raw=raw)))
+    assert exit_code(["sweep", "--config", "any", "--seeds", "1..2",
+                      "--out", str(tmp_path / "out")]) == 2
+    assert "forecaster_I.measure: weights must be finite" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("where, literal, message", [

@@ -237,6 +237,27 @@ def test_config_load_rejects_an_unreadable_file(tmp_path, monkeypatch):
         ExperimentConfig.load(str(path))
 
 
+NON_FINITE_SPECS = {
+    "iid": lambda x: {"family": "iid", "weights": [x, 0.5]},
+    "beta_learner": lambda x: {"family": "beta_learner",
+                               "pseudo_counts": [1.0, x]},
+    "markov": lambda x: {"family": "markov",
+                         "transition": [[0.5, 0.5], [x, 0.5]]},
+    "mixture": lambda x: {"family": "mixture", "weights": [0.5, x],
+                          "components": MARKOV_MIX_CHAINS},
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("family", sorted(NON_FINITE_SPECS))
+def test_from_dict_names_the_path_of_a_non_finite_model_number(family, bad):
+    # a config built in code escapes load's JSON check; the model refuses it
+    spec = NON_FINITE_SPECS[family](bad)
+    with pytest.raises(ConfigError,
+                       match=r"^forecaster_II\.measure: .* must be finite"):
+        ExperimentConfig.from_dict(tiny_config(forecaster_II=coherent(spec)))
+
+
 def test_config_load_rejects_text_that_is_not_utf8(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_bytes('{"T": 6, "caf\u00e9": 1}'.encode("latin-1"))
@@ -296,6 +317,52 @@ def test_engine_is_the_only_book_of_hedge_legs(monkeypatch):
     assert sum(trace.component_bets) > 0
     assert len(held) == 300
     assert len(advances) == sum(held) > 0
+
+
+def test_one_settlement_advances_one_leg_per_side_for_a_cohort(monkeypatch):
+    # fast-iid's pair at J = 10: component j = 1 answers m = 2 and the nine
+    # others m = 1, so the book holds two legs a side where it held ten
+    advanced = []
+    advance = HedgeLeg.advance
+
+    def counted_advance(self, y, step=None):
+        advanced.append(self)
+        return advance(self, y, step)
+
+    monkeypatch.setattr(HedgeLeg, "advance", counted_advance)
+    pair = ForecastPair(IID([0.9, 0.1]), IID([0.1, 0.9]))
+    mix = MixtureSceptic(j_max=10, m_max=100)
+    state = ProtocolState(pair.p_i.alphabet, pair)
+    o_i, o_ii = mix.step_orders(pair)
+    state.place_order("I", o_i)
+    state.place_order("II", o_ii)
+    assert [c.legs[0].horizon for c in mix.components] == [2] + [1] * 9
+    state.settle_step(1, pair)
+    mix.settle(state)
+    assert len(advanced) == 4  # one per side per cohort, not one per component
+    assert {id(leg) for leg in advanced} == {
+        id(leg) for _, leg in o_i.legs + o_ii.legs}
+    cohort = mix.components[1:]
+    assert mix.components[0].holding and not any(c.holding for c in cohort)
+    assert len({(c.cycles[-1].mult_i, c.cycles[-1].mult_ii) for c in cohort}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(catalog()))
+def test_every_closed_cycle_multiplies_to_one_over_h_squared(name):
+    # the paper's hedge: mult_I * mult_II = 1 / H_m^2 on every realized block;
+    # the members of one cohort (one start step, one horizon) share the legs
+    cfg = ExperimentConfig.load(name)
+    cfg.t = min(cfg.t, 400)
+    mix = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
+    play(cfg.forecasters(), mix, cfg.reality, cfg.t, cfg.budget)
+    mults: dict = {}
+    for comp in mix.components:
+        for c in comp.cycles:
+            assert c.mult_i * c.mult_ii * c.h_m ** 2 == pytest.approx(
+                1.0, abs=1e-9)
+            mults.setdefault((c.start_step, c.horizon), set()).add(
+                (c.mult_i, c.mult_ii))
+    assert mults and all(len(m) == 1 for m in mults.values())
 
 
 MARKOV_MIX_CHAINS = [

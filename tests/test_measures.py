@@ -238,6 +238,25 @@ def test_mixture_rejects_zero_weight():
         FiniteMixture([1.0, 0.0], [bernoulli(0.4), bernoulli(0.6)])
 
 
+NON_FINITE_MODELS = {
+    "iid": lambda x: IID([x, 0.5]),
+    "beta_learner": lambda x: BetaLearner([1.0, x]),
+    "markov": lambda x: Markov([[0.5, 0.5], [x, 0.5]]),
+    "markov_initial": lambda x: Markov([[0.5, 0.5], [0.5, 0.5]],
+                                       initial=[x, 0.5]),
+    "mixture": lambda x: FiniteMixture([0.5, x],
+                                       [bernoulli(0.4), bernoulli(0.6)]),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("family", sorted(NON_FINITE_MODELS))
+def test_a_non_finite_model_number_is_a_domain_error(family, bad):
+    # refused as not finite before any positivity (Cromwell) check
+    with pytest.raises(DomainError, match="must be finite"):
+        NON_FINITE_MODELS[family](bad)
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(DomainError):
         IID([0.5, 0.6])

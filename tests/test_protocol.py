@@ -77,7 +77,7 @@ def test_zero_order_changes_nothing():
     state, _ = fresh_state()
     state.place_order("I", BetOrder.zero())
     assert state.portfolios["I"].cash == 1.0
-    assert not state.portfolios["I"].contracts
+    assert not state.portfolios["I"].stakes
 
 
 def test_capital_invariant_at_purchase(rng):
@@ -143,7 +143,7 @@ def test_inconsistent_prefix_dies_worthless():
     state.place_order("I", BetOrder({(1, 0): 3.0}))
     state.place_order("II", BetOrder.zero())
     state.settle_step(0, pair)
-    assert not state.portfolios["I"].contracts
+    assert not state.portfolios["I"].stakes
 
 
 def test_long_contract_rebased_to_tail():
@@ -151,7 +151,7 @@ def test_long_contract_rebased_to_tail():
     state.place_order("I", BetOrder({(1, 0): 3.0}))
     state.place_order("II", BetOrder.zero())
     state.settle_step(1, pair)
-    assert state.portfolios["I"].contracts == {(0,): 3.0}
+    assert state.portfolios["I"].stakes == {(0,): 3.0}
 
 
 def test_settle_rejects_bad_symbol():
@@ -170,7 +170,7 @@ def test_settle_refuses_a_non_integer_symbol_and_keeps_the_books():
     state.place_order("II", BetOrder({(0,): 1.0}))
 
     def books():
-        return [(pf.cash, dict(pf.contracts), list(pf.legs))
+        return [(pf.cash, dict(pf.stakes), list(pf.legs))
                 for pf in state.portfolios.values()]
 
     kept = books()
@@ -181,7 +181,7 @@ def test_settle_refuses_a_non_integer_symbol_and_keeps_the_books():
         assert (leg.scale, leg.horizon, leg.own) == (0.5, 3, pair.p_i)
         assert state.n == 1 and state.history == ()
     state.settle_step(1, pair)
-    assert state.portfolios["I"].contracts == {(0,): 2.0}
+    assert state.portfolios["I"].stakes == {(0,): 2.0}
 
 
 def test_full_hedge_expiry_payoff(rng):

@@ -187,17 +187,27 @@ def test_mixture_zero_orders_without_trigger():
     assert not mix.last_bets_placed
 
 
-def test_mixture_orders_carry_each_components_legs_at_its_weight():
-    mix = MixtureSceptic(j_max=6, m_max=64)
+def test_mixture_orders_carry_one_leg_pair_per_cohort_at_its_summed_stake():
+    # components that answer one horizon m on one step form a cohort: the
+    # order holds one unit leg (scale 1/H_m) per m, at the members' sum of w*K
+    mix = MixtureSceptic(j_max=10, m_max=64)
+    engine = pair_profile(P04, P06)
     o_i, o_ii = mix.step_orders(ForecastPair(P04, P06))
     betting = [(w, c) for w, c in zip(mix.weights, mix.components)
                if c.holding]
-    assert len(betting) == 6 and mix.last_bets_placed
+    assert len(betting) == 10 and mix.last_bets_placed
+    by_m = {}
+    for w, c in betting:
+        by_m.setdefault(c.legs[0].horizon, []).append((w, c))
+    assert max(len(members) for members in by_m.values()) >= 2
     for order, side in ((o_i, 0), (o_ii, 1)):
         assert not order.stakes
-        assert [k for k, _ in order.legs] == [w for w, _ in betting]
-        assert all(leg is c.legs[side]
-                   for (_, leg), (_, c) in zip(order.legs, betting))
+        assert [leg.horizon for _, leg in order.legs] == list(by_m)
+        for (k, leg), members in zip(order.legs, by_m.values()):
+            assert leg.scale == 1.0 / engine.h(leg.horizon)
+            assert all(c.legs[side] is leg for _, c in members)
+            assert k == math.fsum(w * (c.capital_i, c.capital_ii)[side]
+                                  for w, c in members)
 
 
 def test_mixture_weights_and_reserve():
@@ -215,13 +225,13 @@ def test_mixture_linearity_along_run(rng):
         for side in ("I", "II"):
             parts = [1.0 - sum(mix.weights)]  # the residual, held as cash
             for w, c in zip(mix.weights, mix.components):
-                if c.holding:
+                k = c.capital_i if side == "I" else c.capital_ii
+                if c.holding:  # the whole capital sits in the cohort's legs
                     leg = c.legs[0] if side == "I" else c.legs[1]
-                    parts.append(w * leg.scale * hellinger_restricted(
+                    parts.append(w * k * leg.scale * hellinger_restricted(
                         leg.own, leg.other, leg.horizon))
                 else:
-                    parts.append(w * (c.capital_i if side == "I"
-                                      else c.capital_ii))
+                    parts.append(w * k)
             total = math.fsum(parts)
             # cash accounting and component accounting of the same legs
             assert state.capital(side) == pytest.approx(total, abs=1e-9)

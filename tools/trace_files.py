@@ -1,8 +1,9 @@
-"""Write the seed-1 trace files of a checkout, for a byte-for-byte diff.
+"""Write the seed-1 trace files of a checkout, or compare two such trees.
 
 Usage (from anywhere):
 
     python3 tools/trace_files.py ROOT OUT
+    python3 tools/trace_files.py --compare OUT1 OUT2
 
 ROOT is the root of a mergebet checkout (its ``src/`` and ``perfbench/`` are
 imported from there, so one copy of this script can trace two checkouts).
@@ -12,10 +13,20 @@ four with ``lim_wrap: true`` (so the wrapped capital columns are covered too),
 and ``<workload>/<label>.csv`` for every operation that
 ``perfbench/workloads.build(workload, 1)`` returns. Two checkouts trace alike
 when ``diff -r OUT1 OUT2`` prints nothing. Nothing is written under ROOT.
+
+``--compare`` prints one line per file of either tree: whether every column
+other than the three log2 capital columns is identical, and the largest
+relative gap of those three read as capitals, |2^(b - a) - 1|, over the rows
+before either side's first non-finite one (whose steps it also prints). It
+exits 1 when a file is in one tree only or differs outside those columns.
 """
 
+import csv
+import math
 import sys
 from pathlib import Path
+
+CAPITALS = ("log2_k1", "log2_k2", "log2_geomean")
 
 
 def main(root: Path, out: Path) -> int:
@@ -39,7 +50,45 @@ def main(root: Path, out: Path) -> int:
     return 0
 
 
+def _first_nonfinite(rows: list) -> int:
+    """Index of the first row with a capital that is not finite, else len."""
+    return next((i for i, r in enumerate(rows)
+                 if not all(math.isfinite(float(r[c])) for c in CAPITALS)),
+                len(rows))
+
+
+def compare(out1: Path, out2: Path) -> int:
+    names = sorted({p.relative_to(top) for top in (out1, out2)
+                    for p in top.rglob("*.csv")})
+    status = 0
+    for name in names:
+        if not ((out1 / name).is_file() and (out2 / name).is_file()):
+            print(f"{name}: in one tree only")
+            status = 1
+            continue
+        a, b = ([*csv.DictReader((top / name).read_text().splitlines())]
+                for top in (out1, out2))
+        same = len(a) == len(b) and all(
+            {k: v for k, v in x.items() if k not in CAPITALS}
+            == {k: v for k, v in y.items() if k not in CAPITALS}
+            for x, y in zip(a, b))
+        status |= not same
+        bad_a, bad_b = _first_nonfinite(a), _first_nonfinite(b)
+        rows = zip(a[:min(bad_a, bad_b)], b)
+        gap = max((abs(math.expm1(math.log(2.0) * (float(y[c]) - float(x[c]))))
+                   for x, y in rows for c in CAPITALS), default=0.0)
+        steps = [r[bad]["n"] if bad < len(r) else "-"
+                 for r, bad in ((a, bad_a), (b, bad_b))]
+        print(f"{name}: other columns {'identical' if same else 'DIFFER'}; "
+              f"capitals within {gap:.2g} relative; first non-finite step "
+              f"{steps[0]} / {steps[1]}")
+    return status
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--compare":
+        sys.exit(compare(Path(args[1]), Path(args[2])))
+    if len(args) != 2:
         sys.exit(__doc__)
-    sys.exit(main(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()))
+    sys.exit(main(Path(args[0]).resolve(), Path(args[1]).resolve()))
