@@ -2,6 +2,8 @@
 
 A config is parsed, and checked once, straight into its players; a game
 starts at n = 1, where each player starts afresh, so a parsed config replays.
+Measures are immutable, so ``measure_from_spec`` builds each spec once: equal
+specs (a shared chain, every seed of a sweep) share one object and its memos.
 
 The oracles deliberately recompute everything the slow way (full-path
 enumeration, literal incremental capital updates, explicit sums over events)
@@ -41,8 +43,8 @@ def _integer(v, where: str, lo: int) -> int:
 
 
 def _symbols(s, alphabet_size: int, where: str) -> list:
-    """A config's list of symbols, each an integer of the alphabet."""
-    if not isinstance(s, list):
+    """A config's list (or tuple) of symbols, each an integer of the alphabet."""
+    if not isinstance(s, (list, tuple)):
         raise ConfigError(f"{where}: need a list of symbols")
     for v in s:
         if isinstance(v, bool) or not isinstance(v, int) \
@@ -60,9 +62,26 @@ def _fields(d: dict, where: str, *names: str) -> dict:
     return d
 
 
+#: measures built from specs, by the canonical JSON of (spec, alphabet size)
+_MEASURES: Dict[str, Measure] = {}
+
+
 def measure_from_spec(spec: dict, alphabet_size: int, where: str = "measure"
                       ) -> Measure:
-    """Build a measure from its JSON-schema dict."""
+    """The measure of a JSON-schema dict: one object per (spec, alphabet size),
+    64 kept; a spec that raises, or that JSON cannot encode, is not kept."""
+    try:
+        key = json.dumps([spec, alphabet_size], sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError):
+        return _build_measure(spec, alphabet_size, where)
+    if key not in _MEASURES:
+        if len(_MEASURES) >= 64:
+            _MEASURES.clear()
+        _MEASURES[key] = _build_measure(spec, alphabet_size, where)
+    return _MEASURES[key]
+
+
+def _build_measure(spec: dict, alphabet_size: int, where: str) -> Measure:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"{where}: expected an object with a 'family' field")
     fam = spec["family"]

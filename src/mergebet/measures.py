@@ -563,8 +563,7 @@ class FiniteMixture(Measure):
         if i is not None:
             return lps[i] + self._lw[i]
         lps = [r + v for r, v in zip(lps, self._lw)]
-        hi = reduce(np.maximum, lps)
-        hi = np.where(np.isfinite(hi), hi, 0.0)
+        hi = reduce(np.maximum, lps)  # finite: Cromwell's rule holds every row
         return np.log(reduce(np.add, [np.exp(r - hi) for r in lps])) + hi
 
 

@@ -8,7 +8,8 @@ three routes that fits its measures, and is picked in this module alone:
   * type  -- they have a joint type whose cached ``TypeTable`` the budget
              affords to level m (``_type_levels``): a sum over the level's
              types, weighted by their exact multiplicities; each measure
-             scores a small table's levels in one pass, a large one's singly.
+             scores a small table's levels in one pass, a large one's singly,
+             and an engine's H terms of a pass are one exp over its rows.
   * walk  -- else one depth-first walk of the outcome tree (``_walk_sums``)
              fills every level up to m; refused beyond a budget.
 
@@ -100,28 +101,30 @@ DEEPEST: Dict[tuple, int] = {}
 
 
 def _type_levels(measures: Sequence[Measure], budget: int
-                 ) -> Callable[[int], Optional[Tuple[np.ndarray, list]]]:
-    """m -> level m of the type route: its types' log multiplicities and each
-    measure's ``type_log_probs``; None without a joint type or past what the
-    budget affords the table. Memoised; while the levels the game has asked
-    for span at most SMALL_TABLE rows, each is a slice of one pass over them
-    all (a row's value does not depend on the range: the sums are elementwise,
-    and a chain multiplies level by level)."""
+                 ) -> Callable[[int], Optional[Tuple[tuple, Optional[slice]]]]:
+    """m -> level m of the type route as (arrays, rows): the rows of its
+    types' log multiplicities and of each measure's ``type_log_probs``; None
+    without a joint type or past what the budget affords the table. Memoised;
+    while the levels the game has asked for span at most SMALL_TABLE rows,
+    the arrays are one pass over them all (a row's value does not depend on
+    the range: the sums are elementwise, and a chain multiplies level by
+    level), else the level's own and rows None."""
     types = joint_type(measures)
     t = None if types is None else type_table(measures[0].a, *types)
-    memo, every = {}, [()]  # every: the one pass, per measure
+    memo, every = {}, [((),)]  # every: the one pass
 
     def level(m: int):
         if m not in memo and t is not None and t.reach(m, budget) >= m:
             rows = t.rows[m]
-            if len(every[0]) < rows.stop:  # not in the pass, if there is one
+            if len(every[0][0]) < rows.stop:  # not in the pass, if there is one
                 deep = DEEPEST[t.key[:2]] = max(DEEPEST.get(t.key[:2], 0), m)
                 top = t.stop[t.reach(deep, budget) if deep > m else m]
                 if top <= SMALL_TABLE:
-                    every[:] = [x.type_log_probs(t, slice(0, top)) for x in measures]
-            lps = ([lp[rows] for lp in every] if len(every[0]) >= rows.stop
-                   else [x.type_log_probs(t, rows) for x in measures])
-            memo[m] = t.log_mult[rows], lps
+                    every[0] = (t.log_mult[:top], *[
+                        x.type_log_probs(t, slice(0, top)) for x in measures])
+            memo[m] = (every[0], rows) if len(every[0][0]) >= rows.stop else ((
+                t.log_mult[rows], *[x.type_log_probs(t, rows) for x in measures]),
+                None)
         return memo.get(m)
     return level
 
@@ -135,7 +138,7 @@ _FOLD = 2 ** 16
 def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
               ) -> Iterator[Tuple[String, List[float]]]:
     """(x, [log P(x) under each measure]) for each x in Y^<=m, depth first,
-    parents first, symbols in order, stepping each measure to its child."""
+    parents first, symbols in order (by ``_child``: no walk reads a memo twice)."""
     a = measures[0].a
     if m > _max_horizon(a, budget):
         raise BudgetExceeded(
@@ -149,7 +152,8 @@ def tree_walk(measures: Sequence[Measure], m: int, budget: int = DEFAULT_BUDGET
             inner = len(x) + 1 < m  # a leaf needs no measure
             for y in reversed(range(a)):
                 stack.append((x + (y,),
-                              [n.child(y) for n in nodes] if inner else None,
+                              [n._child(y) if type(n).child is Measure.child
+                               else n.child(y) for n in nodes] if inner else None,
                               [lp + math.log(d[y]) for lp, d in zip(lps, dists)]))
 
 
@@ -182,6 +186,7 @@ class HorizonProfile:
         self._chain = _chain_affinity(p, q)
         self._level = _type_levels((p, q), budget)
         self._memo = ({0: 1.0}, {0: 0.0})  # H_m, TV_m
+        self._terms = (None,)  # the type pass read last, and its H terms
         self._answers = None  # search answers by (m_max, threshold)
 
     def _read(self, m: int, which: int) -> float:
@@ -202,10 +207,16 @@ class HorizonProfile:
                 j -= 1
                 level = self._level(j)
             return self._memo[which][m]
-        lc, (lp, lq) = level
-        self._memo[which][m] = v = (
-            min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
-            else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
+        arrays, rows = level
+        if which == 0 and rows is not None:  # one exp serves a pass's every H_m
+            if self._terms[0] is not arrays:
+                self._terms = arrays, np.exp(arrays[0] + 0.5 * (arrays[1] + arrays[2]))
+            v = min(float(self._terms[1][rows].sum()), 1.0)
+        else:
+            lc, lp, lq = arrays if rows is None else (x[rows] for x in arrays)
+            v = (min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
+                 else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
+        self._memo[which][m] = v
         return v
 
     def h(self, m: int) -> float:
@@ -325,7 +336,8 @@ def expectation_sqrt_ratio(f: Measure, p: Measure, q: Measure, m: int,
         return chain.up_to(m)
     level = _type_levels((f, p, q), budget)(m)
     if level is not None:
-        lc, (lf, lp, lq) = level
+        arrays, rows = level
+        lc, lf, lp, lq = arrays if rows is None else (x[rows] for x in arrays)
         return float(np.exp(lc + lf + 0.5 * (lq - lp)).sum())
     return _walk_sums((f, p, q), m, budget, [
         lambda lf, lp, lq: math.exp(lf + 0.5 * (lq - lp))])[0][m]

@@ -1,18 +1,25 @@
 """Command-line interface: subcommands, outputs, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import mergebet
 from mergebet.cli import cli, main
 from mergebet.harness import TRACE_HEADER, ExperimentConfig
+from mergebet.scenarios import catalog
 
 from test_harness import FAIR, betting_config, tiny_config
 
@@ -294,6 +301,92 @@ def test_exit_code_budget_exceeded_for_an_untyped_report_pair(tmp_path):
 
 def test_exit_code_missing_option():
     assert exit_code(["run"]) == 2
+
+
+# -- config fuzzing ------------------------------------------------------------
+
+#: what a mutation puts in: out-of-range and non-finite numbers, a value of
+#: every JSON type, and nested garbage
+NUMBERS = st.sampled_from([-1, 0, -0.5, 0.5, 1.5, 2, 3, 1e308, -1e308,
+                           5e-324, 10 ** 400, math.nan, math.inf, -math.inf])
+LEAVES = st.one_of(NUMBERS, st.none(), st.booleans(), st.integers(-5, 5),
+                   st.floats(), st.text(max_size=3))
+NAMES = st.sampled_from(["family", "kind", "weights", "measure", "components",
+                         "string", "seed", "J", "T", "x"])
+GARBAGE = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(NAMES, inner, max_size=3)),
+    max_leaves=6)
+#: the fields whose size sets a run's cost, at most the value a fuzzed run
+#: takes: T <= 5 steps, and the catalog's largest J, M_max and m_report
+COSTS = {("T",): 5, ("sceptic", "J"): 20, ("sceptic", "M_max"): 100,
+         ("m_report",): 8}
+
+
+def places(node, path=()):
+    """The path of every object, list and value in a config."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for k, v in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from places(v, path + (k,))
+
+
+def at(node, path):
+    for k in path:
+        node = node[k]
+    return node
+
+
+@st.composite
+def mutated_configs(draw):
+    """A catalog config with one to three keys dropped, added or retyped,
+    anywhere; then no larger than COSTS."""
+    name = draw(st.sampled_from(sorted(catalog())))
+    cfg = json.loads(json.dumps(catalog()[name]))  # no shared objects
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(places(cfg))))
+        node, op = at(cfg, path), draw(st.sampled_from(["drop", "add", "set"]))
+        if op == "add" and isinstance(node, dict):
+            node[draw(NAMES)] = draw(GARBAGE)
+        elif op == "add" and isinstance(node, list):
+            node.append(draw(GARBAGE))
+        elif op == "drop" and path:
+            del at(cfg, path[:-1])[path[-1]]
+        elif path:
+            at(cfg, path[:-1])[path[-1]] = draw(GARBAGE)
+        else:
+            cfg = draw(GARBAGE)
+    for path, cap in COSTS.items():
+        try:
+            v = at(cfg, path)
+        except (KeyError, IndexError, TypeError):
+            continue
+        if isinstance(v, int) and not isinstance(v, bool) and v > cap:
+            at(cfg, path[:-1])[path[-1]] = cap
+    return cfg
+
+
+def outcome(config: str, out: str):
+    """Exit code, error output and trace of one ``mergebet run``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = exit_code(["run", "--config", config, "--out", out])
+    trace = Path(out, "trace.csv")
+    return code, err.getvalue(), trace.read_text() if trace.exists() else None
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cfg=mutated_configs())
+def test_a_mutated_config_exits_with_a_documented_code(cfg):
+    # no traceback; and a second run in the same process ends the same way,
+    # so the parse cache keeps no failed parse and hides no sibling's error
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        first = outcome(path, os.path.join(tmp, "a"))
+        assert first[0] in (0, 2, 3, 4, 5), first
+        assert outcome(path, os.path.join(tmp, "b")) == first
 
 
 # -- start-up ------------------------------------------------------------------

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -458,6 +460,96 @@ def test_concentrated_posteriors_skip_the_full_logsumexp(monkeypatch):
     per_step.append(tuple(calls))  # the last step's report
     scored, full_path = map(sum, zip(*per_step))
     assert scored > 0 and full_path == scored
+
+
+MARKOV_MIX_ROUNDS = """
+import json, sys
+sys.path.insert(0, "perfbench")
+import numpy as np
+import workloads
+from mergebet import harness, measures, metrics
+
+count = {"fresh": 0, "h_exp": 0, "tv_exp": 0, "engines": 0}
+where, exp = ["h_exp"], np.exp
+type_log_probs = measures.Measure.type_log_probs
+tv, init = metrics.HorizonProfile.tv, metrics.HorizonProfile.__init__
+
+def scored(self, table, rows):  # a Markov row scoring its memo lacks
+    count["fresh"] += isinstance(self, measures.Markov) and (
+        (table.key, rows.start, rows.stop) not in self._memo)
+    return type_log_probs(self, table, rows)
+
+def counted_exp(x):
+    count[where[0]] += 1
+    return exp(x)
+
+def counted_tv(self, m):
+    where[0] = "tv_exp"
+    try:
+        return tv(self, m)
+    finally:
+        where[0] = "h_exp"
+
+def built(self, *args):
+    count["engines"] += 1
+    init(self, *args)
+
+measures.Measure.type_log_probs = scored
+metrics.np = type("np", (), {"exp": staticmethod(counted_exp),
+                             "__getattr__": lambda self, k: getattr(np, k)})()
+metrics.HorizonProfile.tv, metrics.HorizonProfile.__init__ = counted_tv, built
+rounds, csv = [], {}
+for _ in range(int(sys.argv[1])):
+    count.update(dict.fromkeys(count, 0))
+    for op in workloads.build("markov-mix", 1):
+        if op.label in sys.argv[2:]:
+            trace = harness.run_experiment(harness.ExperimentConfig.from_dict(op.config))
+            csv.setdefault(op.label, trace.to_csv())
+    rounds.append(dict(count))
+print(json.dumps({"rounds": rounds, "csv": csv}))
+"""
+
+
+def markov_mix_rounds(rounds: int, *labels: str) -> dict:
+    """Rounds of perfbench's markov-mix workload at seed 1 (the operations
+    named) in a fresh interpreter: per round, fresh Markov row scorings,
+    np.exp calls of the metrics layer for H and for TV, and engine builds;
+    and each operation's first trace."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", MARKOV_MIX_ROUNDS, str(rounds), *labels],
+        capture_output=True, text=True, check=True,
+        cwd=os.path.dirname(src), env=dict(os.environ, PYTHONPATH=src))
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_equal_specs_are_parsed_and_scored_once_per_process():
+    # both forecasters share two chains, which Reality samples too: once
+    # parsed, each chain scores its three contexts' rows once per process
+    # (192 fresh scorings a round when each seed parsed its own chains);
+    # each engine takes one exp for all the H levels of its pass
+    labels = [f"markov-mix@{s}" for s in range(16, 32)]
+    warm = markov_mix_rounds(2, *labels)
+    assert [r["fresh"] for r in warm["rounds"]] == [6, 0]
+    for r in warm["rounds"]:
+        assert r["h_exp"] == r["engines"] == 390 and r["tv_exp"] == 768
+    # a game reads the same bits from a cold cache as after 15 other seeds
+    cold = markov_mix_rounds(1, labels[-1])
+    assert cold["csv"][labels[-1]] == warm["csv"][labels[-1]]
+
+
+def test_a_spec_that_raises_is_not_kept():
+    bad = {"family": "mixture", "weights": [0.5, 0.5],
+           "components": [FAIR, {"family": "iid", "weights": [0.5, "x"]}]}
+    for where in ("forecaster_I.measure", "reality.measure"):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{where}.components[1]")):
+            measure_from_spec(bad, 2, where)
+    assert measure_from_spec(FAIR, 2) is measure_from_spec(dict(FAIR), 2)
+    with pytest.raises(ConfigError, match="alphabet 2 != 3"):  # keyed by it
+        measure_from_spec(FAIR, 3)
+    unencodable = {"family": "iid", "weights": np.array([0.5, 0.5])}
+    assert measure_from_spec(unencodable, 2) is not measure_from_spec(unencodable, 2)
 
 
 def test_type_scoring_does_not_depend_on_how_far_the_shared_table_grew(

@@ -1,4 +1,5 @@
-"""Tooling: no module of the package imports a name it never uses."""
+"""Tooling: no module of the package, the tests or the tools imports a name it
+never uses."""
 
 import ast
 from pathlib import Path
@@ -6,6 +7,7 @@ from pathlib import Path
 import mergebet
 
 PACKAGE = Path(mergebet.__file__).parent
+ROOT = PACKAGE.parents[1]
 
 
 def unused_imports(source: str) -> list:
@@ -33,7 +35,8 @@ def test_unused_imports_are_found():
 
 def test_no_module_imports_an_unused_name():
     # __init__.py imports names to re-export them
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "__init__.py"}
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+             *(ROOT / "tools").glob("*.py")]
+    found = {str(path.relative_to(ROOT)): unused_imports(path.read_text())
+             for path in sorted(paths) if path.name != "__init__.py"}
     assert {k: v for k, v in found.items() if v} == {}

@@ -476,6 +476,27 @@ def mixture_at(components, lw):
     return mix
 
 
+def test_every_family_scores_finite_rows(rng):
+    # Cromwell's rule (positive one-step laws, finite log weights) keeps every
+    # row finite, so a mixture's row maximum needs no guard against -inf
+    gaps = [-g for g in range(0, 40, 4)] + [-g for g in range(40, 801, 40)]
+    for a in (2, 3):
+        pool = [lambda: random_iid(rng, a), lambda: random_beta(rng, a),
+                lambda: random_markov(rng, a, order=1).condition((0, 1)),
+                lambda: random_markov(rng, a, order=2).condition((1,))]
+        measures = [make() for make in pool]
+        for gap in gaps:
+            comps = [pool[int(i)]() for i in rng.integers(0, len(pool), 3)]
+            comps[-1] = mixture_at([comps[0], random_iid(rng, a)], [0.0, gap])
+            measures.append(mixture_at(comps, [0.0, gap, gap / 2]))
+        for x in measures:
+            table = type_table(a, *x.type_key())
+            assert table.reach(8, DEFAULT_BUDGET) == 8
+            assert np.all(np.isfinite(x.type_log_probs(table, slice(0, table.stop[8]))))
+            for m in range(9):
+                assert np.all(np.isfinite(x.type_log_probs(table, table.rows[m])))
+
+
 def test_concentrated_mixture_type_log_probs_keep_every_bit(rng):
     # the live component's rows stand for the logsumexp only where the others'
     # terms cannot move a sum that holds 1.0: log-weight gaps from -20 to

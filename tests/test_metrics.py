@@ -544,6 +544,17 @@ def test_tree_walk_is_linear_in_the_nodes(monkeypatch, rng):
         assert calls[0] <= k * (a ** (m + 1) - 1) // (a - 1)
 
 
+def test_a_walk_steps_past_the_child_memo():
+    # no walk asks a node for a child twice, so the base class's weak memo
+    # is skipped; IID and Markov keep their own child
+    root = BetaLearner([1.0, 2.0])
+    assert sum(len(x) == 10 for x, _ in tree_walk((root,), 10)) == 2 ** 10
+    assert [k for k in root._memo if isinstance(k, int)] == []
+    chain = Markov([[0.9, 0.1], [0.2, 0.8]], initial=[0.5, 0.5])
+    assert sum(1 for _ in tree_walk((chain,), 3)) == 15
+    assert set(chain._states) == {(), (0,), (1,)}
+
+
 def test_tree_walk_visits_parents_first_in_symbol_order():
     p = Markov([[0.9, 0.1], [0.2, 0.8]], initial=[0.5, 0.5])
     visited = [(x, lps[0]) for x, lps in tree_walk((p,), 2)]
@@ -648,6 +659,35 @@ def test_type_tables_count_every_string_exactly():
     assert max(exact) > 2 ** 53
     assert t.mult[t.rows[64]] == exact
     assert t.log_mult[t.rows[64]].tolist() == [math.log(k) for k in exact]
+
+
+def pass_pairs(rng):
+    """Typed pairs on tables that one pass serves: Beta learners, mixtures of
+    i.i.d. laws, and mixtures of Markov chains after one context."""
+    for _ in range(4):
+        yield random_beta(rng), random_beta(rng)
+        yield random_mixture(rng), random_mixture(rng)
+        h = tuple(int(y) for y in rng.integers(0, 2, size=int(rng.integers(1, 4))))
+        yield tuple(FiniteMixture(random_simplex(rng, 2, lo=0.05), [
+            random_markov(rng), random_markov(rng)]).condition(h) for _ in range(2))
+
+
+def test_h_from_a_pass_equals_the_level_formula(rng):
+    # exp is elementwise and each level is still one numpy sum of its values
+    for p, q in pass_pairs(rng):
+        t = type_table(p.a, *joint_type((p, q)))
+        top = 1
+        while (t.reach(top + 1, DEFAULT_BUDGET) == top + 1
+               and t.stop[top + 1] <= metrics.SMALL_TABLE):
+            top += 1
+        metrics.DEEPEST.clear()
+        engine = HorizonProfile(p, q)
+        for m in [top, *rng.permutation(np.arange(1, top))]:  # H_0 is 1
+            rows = t.rows[int(m)]
+            lc = t.log_mult[rows]
+            lp, lq = p.type_log_probs(t, rows), q.type_log_probs(t, rows)
+            assert engine.h(int(m)) == min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0)
+        assert len(engine._terms[1]) == t.stop[top]  # one vector served them all
 
 
 def test_markov_mix_pair_searches_to_m_max_64_uncapped():

@@ -1,6 +1,5 @@
 """Forecaster/Reality behaviors and the shipped scenario catalog."""
 
-import math
 from dataclasses import dataclass
 from typing import Tuple
 
