@@ -23,10 +23,10 @@ rejects any parameter that would yield a zero one-step probability
 (Cromwell's rule), optionally smoothing user tables with a floor.
 
 Each family gives all strings of one type (``TypeTable``, named by
-``type_key``) one probability; ``type_log_probs`` scores whole levels. A
-mixture's level is the log-sum-exp of its components' rows, unless its
-posterior is concentrated (``_collapsed``): where the others' terms cannot
-move a sum that holds 1.0, the live component's rows are the same bits.
+``type_key``) one probability; ``type_log_probs`` scores whole levels (a
+chain's are memoised and read-only). A mixture's level is the log-sum-exp of
+its components' rows, unless its posterior is concentrated (``_collapsed``):
+the live component's rows are the same bits (at log weight 0.0, the array).
 """
 
 from __future__ import annotations
@@ -61,10 +61,12 @@ Symbol = int
 String = tuple  # tuple of symbols; () is the empty string
 
 _RAMP = np.arange(256.0)  # Beta rising-factorial offsets; regrown on demand
-_SPREADS: dict = {}  # _collapsed's max(r - li) by id; an entry holds r and li
+_ROW_PAIRS: dict = {}  # row_pair_value's, by ids; an entry holds its arrays
+ROW_PAIR_CACHE_SIZE = 256  # entries; one more clears them all
 
 #: tolerance for checking that a supplied distribution sums to one
 SUM_TOL = 1e-9
+TINY = np.finfo(float).tiny  # least model number: a subnormal's ratios overflow
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,8 @@ def _validated_weights(w, floor: Optional[float]) -> np.ndarray:
         raise DomainError("weights must be a 1-d sequence")
     if floor is not None:
         w = np.maximum(w, floor)
-    if np.any(w <= 0.0):
-        raise CromwellViolation(f"weights must be strictly positive, got {w}")
+    if np.any(w < TINY):
+        raise CromwellViolation(f"weights must be at least {TINY}, got {w}")
     s = w.sum()
     if abs(s - 1.0) > SUM_TOL:
         raise DomainError(f"weights sum to {s}, expected 1 within {SUM_TOL}")
@@ -301,6 +303,7 @@ class Measure:
             lo, hi = table.depth[rows.start], table.depth[rows.stop - 1]
             out = self._memo[key] = np.concatenate([
                 table.counts[table.rows[m]] @ log_theta for m in range(lo, hi + 1)])
+            out.flags.writeable = False  # shared: engines key sums by its id
         return out
 
 
@@ -382,8 +385,8 @@ class Markov(Measure):
             raise DomainError(f"transition entries must be finite, got {t}")
         if floor is not None:
             t = np.maximum(t, floor)
-        if np.any(t <= 0.0):
-            raise CromwellViolation("transition table has a nonpositive entry")
+        if np.any(t < TINY):
+            raise CromwellViolation(f"transition entries must be at least {TINY}")
         sums = t.sum(axis=-1, keepdims=True)
         if np.any(np.abs(sums - 1.0) > SUM_TOL):
             raise DomainError("a transition row does not sum to 1")
@@ -427,8 +430,8 @@ class BetaLearner(Measure):
         a = np.asarray(pseudo_counts, dtype=float)
         if not np.all(np.isfinite(a)):
             raise DomainError(f"pseudo-counts must be finite, got {a}")
-        if a.ndim != 1 or np.any(a <= 0.0):
-            raise CromwellViolation("pseudo-counts must be strictly positive")
+        if a.ndim != 1 or np.any(a < TINY):
+            raise CromwellViolation(f"pseudo-counts must be at least {TINY}")
         super().__init__(alphabet or Alphabet(a.size))
         if a.size != self.a:
             raise DomainError("pseudo-count length does not match alphabet")
@@ -557,11 +560,11 @@ class FiniteMixture(Measure):
     def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
         # logsumexp of the rows r_k = L_k + w_k, added in order as
         # np.sum(axis=0) of a stack; a concentrated posterior (_collapsed)
-        # reads its live component's rows alone, with the same bits
+        # reads its live component's rows alone, the same bits but a zero's sign
         lps = [c.type_log_probs(table, rows) for c in self.components]
         i = _collapsed(lps, self._lw)
         if i is not None:
-            return lps[i] + self._lw[i]
+            return lps[i] if self._lw[i] == 0.0 else lps[i] + self._lw[i]
         lps = [r + v for r, v in zip(lps, self._lw)]
         hi = reduce(np.maximum, lps)  # finite: Cromwell's rule holds every row
         return np.log(reduce(np.add, [np.exp(r - hi) for r in lps])) + hi
@@ -583,15 +586,25 @@ def _collapsed(lps: list, lw: list) -> Optional[int]:
         return None
     i = lw.index(top)
     li = lps[i]
-    if len(_SPREADS) > 64:  # i.i.d. and Markov rows are memoised: few pairs
-        _SPREADS.clear()
     for k, (r, v) in enumerate(zip(lps, lw)):
-        key = id(r), id(li)
-        if k != i and key not in _SPREADS:
-            _SPREADS[key] = r, li, float((r - li).max())
-        if k != i and not v + _SPREADS[key][2] < cut:
+        if k != i and not v + row_pair_value(
+                r, li, None, lambda r, li: float((r - li).max()), r, li) < cut:
             return None
     return i
+
+
+def row_pair_value(r: np.ndarray, s: np.ndarray, tag, compute: Callable, *args):
+    """compute(*args), kept by (id(r), id(s), tag) when both rows are read-only:
+    memoised chain rows, which recur from step to step; fresh ones never do."""
+    if r.flags.writeable or s.flags.writeable:
+        return compute(*args)
+    key = id(r), id(s), tag
+    hit = _ROW_PAIRS.get(key)
+    if hit is None:
+        if len(_ROW_PAIRS) >= ROW_PAIR_CACHE_SIZE:
+            _ROW_PAIRS.clear()
+        hit = _ROW_PAIRS[key] = r, s, compute(*args)
+    return hit[2]
 
 
 class Conditioned(Measure):

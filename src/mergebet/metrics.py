@@ -14,11 +14,12 @@ three routes that fits its measures, and is picked in this module alone:
              fills every level up to m; refused beyond a budget.
 
 ``HorizonProfile``, the engine of one pair, memoises H_m, TV_m (which has no
-chain form) and its search answers. Measures are immutable, so
-``pair_profile`` finds the engines of the last few pairs again by the
-identity of the two measures, in either order: legs step onto the announced
-measures (``child`` is memoised), so a coherent step's report, horizon
-search and leg marks read one engine.
+chain form) and its search answers, and keeps a level's sum over two memoised
+rows by their identity for later engines (``row_pair_value``). Measures are
+immutable, so ``pair_profile`` finds the engines of the last few pairs again
+by the identity of the two measures, in either order: legs step onto the
+announced measures (``child`` is memoised), so a coherent step's report,
+horizon search and leg marks read one engine.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .measures import Measure, String, _tail, joint_type, type_table
+from .measures import (Measure, String, _tail, joint_type, row_pair_value,
+                       type_table)
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -104,7 +106,7 @@ def _type_levels(measures: Sequence[Measure], budget: int
                  ) -> Callable[[int], Optional[Tuple[tuple, Optional[slice]]]]:
     """m -> level m of the type route as (arrays, rows): the rows of its
     types' log multiplicities and of each measure's ``type_log_probs``; None
-    without a joint type or past what the budget affords the table. Memoised;
+    without a joint type (``level.table`` None) or past the budget. Memoised;
     while the levels the game has asked for span at most SMALL_TABLE rows,
     the arrays are one pass over them all (a row's value does not depend on
     the range: the sums are elementwise, and a chain multiplies level by
@@ -126,6 +128,7 @@ def _type_levels(measures: Sequence[Measure], budget: int
                 t.log_mult[rows], *[x.type_log_probs(t, rows) for x in measures]),
                 None)
         return memo.get(m)
+    level.table = t
     return level
 
 
@@ -208,16 +211,19 @@ class HorizonProfile:
                 level = self._level(j)
             return self._memo[which][m]
         arrays, rows = level
+        v = self._memo[which][m] = row_pair_value(arrays[1], arrays[2], (
+            m, which, rows is None), self._sum, arrays, rows, which)
+        return v
+
+    def _sum(self, arrays: tuple, rows: Optional[slice], which: int) -> float:
+        """H_m (which = 0) or TV_m (1) of a type level (arrays, rows)."""
         if which == 0 and rows is not None:  # one exp serves a pass's every H_m
             if self._terms[0] is not arrays:
                 self._terms = arrays, np.exp(arrays[0] + 0.5 * (arrays[1] + arrays[2]))
-            v = min(float(self._terms[1][rows].sum()), 1.0)
-        else:
-            lc, lp, lq = arrays if rows is None else (x[rows] for x in arrays)
-            v = (min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
-                 else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
-        self._memo[which][m] = v
-        return v
+            return min(float(self._terms[1][rows].sum()), 1.0)
+        lc, lp, lq = arrays if rows is None else (x[rows] for x in arrays)
+        return (min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
+                else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
 
     def h(self, m: int) -> float:
         """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
@@ -243,9 +249,9 @@ class HorizonProfile:
         if m_max < 1 or not thresholds:
             return [None] * len(thresholds)
         if self._chain is None and self._level(m_max) is None:
-            top, cap = m_max, _max_horizon(self.p.a, self.budget)
-            while m_max > cap and self._level(m_max) is None:
-                m_max -= 1
+            t, top = self._level.table, m_max  # the walk's cap or the table's reach
+            m_max = min(top, max(_max_horizon(self.p.a, self.budget),
+                                 0 if t is None else t.reach(top, self.budget)))
             if m_max < top:
                 HorizonProfile.capped_searches += len(thresholds)
         h_top = self.h(m_max) if m_max else math.inf  # no horizon afforded

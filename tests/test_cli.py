@@ -281,6 +281,42 @@ def test_exit_code_cromwell_violation(tmp_path):
                       "--out", str(tmp_path / "o")]) == 3
 
 
+def subnormal(name):
+    # the smallest subnormal float as one model number: a one-step law that
+    # rounds to 0 (merge-beta, step 3) or a ratio that overflows (diverge-iid)
+    d = catalog()[name]
+    d["T"] = 5
+    measure = d["forecaster_I"]["measure"]
+    if "weights" in measure:
+        measure["weights"] = [5e-324, 1.0]
+    else:
+        measure["pseudo_counts"] = [5e-324, 0.5]
+    return d
+
+
+@pytest.mark.parametrize("name", ["merge-beta", "diverge-iid"])
+def test_a_subnormal_model_number_exits_3_before_step_1(tmp_path, monkeypatch,
+                                                         capsys, name):
+    def never(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("mergebet.cli.run_experiment", never)
+    out = tmp_path / "o"
+    assert exit_code(["run", "--config", write_config(tmp_path, subnormal(name)),
+                      "--out", str(out)]) == 3
+    assert "must be at least 2.2250738585072014e-308" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+def test_the_smallest_normal_model_number_parses():
+    tiny = sys.float_info.min
+    for name in ("merge-beta", "diverge-iid"):
+        d = subnormal(name)
+        measure = d["forecaster_I"]["measure"]
+        measure["weights" if "weights" in measure else "pseudo_counts"][0] = tiny
+        ExperimentConfig.from_dict(d)
+
+
 def test_exit_code_budget_exceeded(tmp_path):
     cfg = write_config(tmp_path, tiny_config(T=30))
     assert exit_code(["oracle", "--check", "martingale",

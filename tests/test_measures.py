@@ -2,6 +2,7 @@
 
 import gc
 import math
+import sys
 import weakref
 
 import numpy as np
@@ -236,6 +237,19 @@ def test_beta_rejects_nonpositive_pseudocounts():
 def test_mixture_rejects_zero_weight():
     with pytest.raises((CromwellViolation, DomainError)):
         FiniteMixture([1.0, 0.0], [bernoulli(0.4), bernoulli(0.6)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda x: IID([x, 1.0]),
+    lambda x: IID([0.0, 1.0], floor=x),
+    lambda x: Markov([[x, 1.0], [0.5, 0.5]]),
+    lambda x: BetaLearner([x, 0.5]),
+    lambda x: FiniteMixture([x, 1.0], [bernoulli(0.4), bernoulli(0.6)])])
+def test_a_model_number_below_the_smallest_normal_float_is_refused(build):
+    for x in (5e-324, sys.float_info.min / 2):
+        with pytest.raises(CromwellViolation, match="at least"):
+            build(x)
+    build(sys.float_info.min)
 
 
 NON_FINITE_MODELS = {

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from mergebet import metrics
+from mergebet import harness, measures, metrics
 from mergebet.errors import BudgetExceeded, DomainError
 from mergebet.measures import (BetaLearner, Conditioned, FiniteMixture, IID,
                                Markov, Measure, bernoulli, joint_type,
@@ -17,6 +18,7 @@ from mergebet.metrics import (DEFAULT_BUDGET, ENGINE_CACHE_SIZE,
                               hellinger_tv_bounds, pair_profile, tree_walk,
                               tv_restricted)
 from mergebet.harness import ExperimentConfig, oracle_metrics, run_experiment
+from mergebet.strategy import MixtureSceptic
 
 from conftest import (random_beta, random_iid, random_markov, random_measure,
                       random_mixture, random_simplex, walk_profiles)
@@ -690,7 +692,8 @@ def test_h_from_a_pass_equals_the_level_formula(rng):
         assert len(engine._terms[1]) == t.stop[top]  # one vector served them all
 
 
-def test_markov_mix_pair_searches_to_m_max_64_uncapped():
+def markov_mix(m_max: int) -> ExperimentConfig:
+    """perfbench's markov-mix game at seed 16, searched to ``m_max``."""
     chains = [{"family": "markov", "transition": [[0.8, 0.2], [0.3, 0.7]]},
               {"family": "markov", "transition": [[0.4, 0.6], [0.6, 0.4]]}]
 
@@ -698,12 +701,146 @@ def test_markov_mix_pair_searches_to_m_max_64_uncapped():
         return {"kind": "coherent", "measure": {
             "family": "mixture", "weights": w, "components": chains}}
 
-    cfg = ExperimentConfig.from_dict({
+    return ExperimentConfig.from_dict({
         "alphabet_size": 2, "T": 24, "seed": 16, "m_report": 6,
         "forecaster_I": mix([0.5, 0.5]), "forecaster_II": mix([0.9, 0.1]),
         "reality": {"kind": "sample", "measure": chains[0]},
-        "sceptic": {"J": 8, "M_max": 64, "lim_wrap": False}})
+        "sceptic": {"J": 8, "M_max": m_max, "lim_wrap": False}})
+
+
+def test_markov_mix_pair_searches_to_m_max_64_uncapped():
+    cfg = markov_mix(64)
     capped = HorizonProfile.capped_searches
     trace = run_experiment(cfg)
     assert HorizonProfile.capped_searches == capped
     assert sum(trace.component_bets) > 0
+
+
+# -- sums over shared rows ------------------------------------------------------
+
+
+def singular(**changes) -> ExperimentConfig:
+    cfg = ExperimentConfig.load("singular-pair")
+    for k, v in changes.items():
+        setattr(cfg, k, v)
+    return cfg
+
+
+def count_sums(monkeypatch):
+    """Counts of the steps played and of the H/TV level sums taken, with the
+    step of the last sum (a step's row reads TV_m last, after its search)."""
+    count = {"steps": 0, "sums": 0, "last": 0}
+    report, level_sum = harness.tv_restricted, HorizonProfile._sum
+
+    def reported(*args, **kwargs):
+        value = report(*args, **kwargs)
+        count["steps"] += 1
+        return value
+
+    def summed(self, *args):
+        count["sums"] += 1
+        count["last"] = count["steps"] + 1
+        return level_sum(self, *args)
+
+    monkeypatch.setattr(harness, "tv_restricted", reported)
+    monkeypatch.setattr(HorizonProfile, "_sum", summed)
+    return count
+
+
+def test_a_concentrated_pair_sums_no_level_after_step_50(monkeypatch):
+    # both posteriors collapse onto the fair component by step 30 or so;
+    # from then on every level's rows are that component's memoised arrays
+    count = count_sums(monkeypatch)
+    measures._ROW_PAIRS.clear()
+    run_experiment(singular(t=600))
+    assert count["steps"] == 600 and 0 < count["last"] <= 50
+
+
+def test_shared_row_sums_equal_a_cold_engines(monkeypatch):
+    cfg = singular(t=200)
+    late = []
+    harness.play(cfg.forecasters(), MixtureSceptic(cfg.j_max, cfg.m_max),
+                 cfg.reality, cfg.t, on_step=lambda n, y, pair, state:
+                 late.append((pair.p_i, pair.p_ii)) if n > 150 else None)
+    count = count_sums(monkeypatch)
+    for p, q in late[::10]:
+        assert p._lw[0] == q._lw[0] == 0.0  # collapsed: rows are shared
+
+        def read():
+            count["sums"] = 0
+            engine = HorizonProfile(p, q)
+            return [engine.h(m) for m in range(1, 65)] + [engine.tv(8)]
+
+        warm = read()
+        assert count["sums"] < 65  # the game's searches read H_64
+        measures._ROW_PAIRS.clear()
+        assert read() == warm and count["sums"] == 65
+
+
+def test_memoised_chain_rows_are_read_only(rng):
+    t = type_table(2, 1, ())
+    t.reach(6, DEFAULT_BUDGET)
+    for x in (random_iid(rng), random_markov(rng), random_markov(rng, order=2)):
+        for rows in (t.rows[5], slice(0, t.stop[6])):
+            out = x.type_log_probs(t, rows)
+            with pytest.raises(ValueError, match="read-only"):
+                out[0] = 0.0
+            assert x.type_log_probs(t, rows) is out
+
+
+def test_a_collapsed_mixture_returns_its_components_rows():
+    fair, skew = IID([0.5, 0.5]), IID([0.999, 0.001])
+    mix = FiniteMixture([0.5, 0.5], [fair, skew]).condition((0, 1) * 40)
+    assert mix._lw[0] == 0.0
+    t = type_table(2, 0, ())
+    t.reach(8, DEFAULT_BUDGET)
+    for rows in (t.rows[8], slice(0, t.stop[8])):
+        assert mix.type_log_probs(t, rows) is fair.type_log_probs(t, rows)
+    # a posterior not yet concentrated sums its components afresh
+    near = FiniteMixture([0.5, 0.5], [fair, skew]).condition((0, 1))
+    assert near.type_log_probs(t, t.rows[8]).flags.writeable
+
+
+@pytest.mark.parametrize("cfg", [
+    pytest.param(lambda: ExperimentConfig.load("merge-beta"), id="merge-beta"),
+    pytest.param(lambda: markov_mix(8), id="markov-mix")])
+def test_fresh_rows_leave_the_row_pair_cache_empty(cfg):
+    # Beta learners' rows and full mixture sums are new arrays every step
+    cfg = cfg()
+    cfg.t = min(cfg.t, 300)
+    measures._ROW_PAIRS.clear()
+    run_experiment(cfg)
+    assert not measures._ROW_PAIRS
+
+
+def lowered_one_level_at_a_time(engine: HorizonProfile, m_max: int) -> int:
+    """The capped horizon as the search found it before it read the reach."""
+    cap = metrics._max_horizon(engine.p.a, engine.budget)
+    while m_max > cap and engine._level(m_max) is None:
+        m_max -= 1
+    return m_max
+
+
+def test_an_unaffordable_m_max_is_capped_in_one_step():
+    # budget 4096 affords the walk to m = 12 and the binary order-0 table
+    # to m = 51; each M_max beyond is cut to 51 at once
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        run_experiment(singular(t=1, m_max=10 ** 6, budget=4096))
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05
+    cfg = ExperimentConfig.load("singular-pair")
+    p, q = (f.announce(1, []) for f in cfg.forecasters())
+    thresholds = [1.0 - 2.0 ** -j for j in range(1, 21)]
+    for other in (q, IID([0.7, 0.3])):
+        for m_max in range(1, 201):
+            capped = HorizonProfile.capped_searches
+            found = HorizonProfile(p, other, 4096).search(thresholds, m_max)
+            cut = HorizonProfile.capped_searches - capped
+            reference = HorizonProfile(p, other, 4096)
+            m = lowered_one_level_at_a_time(reference, m_max)
+            assert found == reference.search(thresholds, m)
+            assert cut == (len(thresholds) if m < m_max else 0)
+            assert m == min(m_max, 51)
+        assert any(found)

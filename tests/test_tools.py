@@ -1,5 +1,7 @@
-"""``tools/trace_files.py --compare`` on two small trace trees."""
+"""The tools: `trace_files.py --compare` on two small trace trees, and
+`paired_bench.py`'s summary of canned runs."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -55,3 +57,40 @@ def test_compare_exits_1_when_another_column_or_a_file_differs(tmp_path):
     assert compare(a, short)[0] == 1
     code, lines = compare(a, extra)
     assert code == 1 and lines[0] == "w.csv: in one tree only"
+
+
+def paired_bench():
+    spec = importlib.util.spec_from_file_location(
+        "paired_bench", TOOL.parent / "paired_bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_bench_summarizes_pairs_and_quartiles():
+    def run(pair, side, step_us, setup_s, failed=0):
+        return {"pair": pair, "side": side, "step_us": step_us,
+                "setup_s": setup_s, "peak_rss_mb": 50.0, "attempted": 4,
+                "failed": failed}
+
+    runs = [run(1, "parent", 100.0, 0.2), run(1, "change", 90.0, 0.3),
+            run(2, "change", 80.0, 0.2), run(2, "parent", 110.0, 0.2, 2),
+            run(3, "parent", 120.0, 0.1), run(3, "change", 120.0, 0.1),
+            run(4, "parent", 130.0, 0.4), run(4, "change", 70.0, 0.5),
+            run(5, "parent", 90.0, 0.3)]  # a pair left unfinished
+    out = paired_bench().summarize(runs)
+    parent, change = out["summary"]["parent"], out["summary"]["change"]
+    assert parent["step_us"] == {"median": 110.0, "q1": 100.0, "q3": 120.0}
+    assert change["step_us"] == {"median": 85.0, "q1": 77.5, "q3": 97.5}
+    assert parent["runs"] == 5 and change["runs"] == 4
+    assert parent["failed_share"] == [0.0, 0.5] and change["failed_share"] == [0.0]
+    # a tie counts for neither side; only whole pairs count
+    assert out["change_step_us_lower_in_pairs"] == "3/4"
+    assert out["change_setup_s_lower_in_pairs"] == "0/4"
+    assert out["change_peak_rss_mb_lower_in_pairs"] == "0/4"
+    assert out["step_us_median_change"] == "-22.7%"
+    assert out["step_us_gap_vs_parent_iqr"] == [25.0, 20.0]
+    assert out["peak_rss_mb_median_change"] == "+0.0%"
+    assert out["runs"] == runs
+    one = paired_bench().summarize(runs[:2])["summary"]["parent"]["step_us"]
+    assert one == {"median": 100.0, "q1": 100.0, "q3": 100.0}
