@@ -3,9 +3,10 @@
 Subcommands: ``run`` a single experiment, ``sweep`` over seeds, ``oracle``
 checks (martingale / metrics / accounting), and ``scenarios --list``.
 Exit codes: 0 success, 1 check failed, 2 config or usage error (also an
-unknown key, an unreadable config or a non-finite number in it, an ``--out``
-that is a file, lies below one or cannot be written), 3 Cromwell violation,
-4 enumeration budget exceeded, 5 a capital not finite (every file written).
+unknown key, an unreadable config, a non-finite number or a misshapen law in
+it, an ``--out`` that is a file, lies below one or cannot be written), 3 a
+Cromwell violation (a model number below the smallest normal float), 4
+enumeration budget exceeded, 5 a capital not finite (every file written).
 """
 
 from __future__ import annotations

@@ -261,7 +261,6 @@ class TraceRow:
 @dataclass
 class Trace:
     rows: List[TraceRow] = field(default_factory=list)
-    component_epsilons: List[float] = field(default_factory=list)
     component_bets: List[int] = field(default_factory=list)
     component_bet_steps: List[List[int]] = field(default_factory=list)
 
@@ -323,7 +322,7 @@ def run_experiment(cfg: ExperimentConfig) -> Trace:
     """Drive the protocol for T steps and record the per-step trace."""
     mixture = MixtureSceptic(cfg.j_max, cfg.m_max, cfg.budget)
     sceptic = LimWrappedSceptic(mixture) if cfg.lim_wrap else mixture
-    trace = Trace(component_epsilons=[c.epsilon for c in mixture.components])
+    trace = Trace()
 
     def record(n: int, y: int, pair: ForecastPair, state: ProtocolState):
         # after the horizon search, so an enumerated pair is walked once

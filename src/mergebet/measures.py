@@ -18,9 +18,9 @@ conditional after one more symbol, unvalidated; ``Measure`` memoises each
 family's step ``_child`` per object and symbol by a weak reference, so all
 who step one object by y share a child while any holds it (``IID`` is its own
 child; ``Markov`` keeps one per context). ``condition``, defined once in
-``Measure``, validates a prefix and folds ``child`` over it. Construction
-rejects any parameter that would yield a zero one-step probability
-(Cromwell's rule), optionally smoothing user tables with a floor.
+``Measure``, validates a prefix and folds ``child`` over it. Every law a
+constructor takes passes one check, ``_law``, whose shape fixes the alphabet
+(Cromwell's rule included; Beta pseudo-counts share all but the sum to 1).
 
 Each family gives all strings of one type (``TypeTable``, named by
 ``type_key``) one probability; ``type_log_probs`` scores whole levels (a
@@ -197,22 +197,35 @@ def joint_type(measures: Sequence["Measure"]) -> Optional[Tuple[int, String]]:
     return joint
 
 
-def _validated_weights(w, floor: Optional[float]) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if not np.all(np.isfinite(w)):
-        raise DomainError(f"weights must be finite, got {w}")
-    if w.ndim != 1 or w.size < 1:
-        raise DomainError("weights must be a 1-d sequence")
+def _positive(x, what: str, ndim: Optional[int], floor=None) -> np.ndarray:
+    """``x`` as a new float array of shape (a,) * ndim, a >= 1 (any ndim >= 1
+    when None), raised to ``floor``; refused unless each entry is finite and
+    then at least TINY (Cromwell's rule), in that order."""
+    x = np.array(x, dtype=float)
+    if not x.size or len(set(x.shape)) != 1 or ndim not in (None, x.ndim):
+        raise DomainError(f"{what} must have shape (a,) * {ndim or 'k'} with "
+                          f"a >= 1, got {x.shape}")
     if floor is not None:
-        w = np.maximum(w, floor)
-    if np.any(w < TINY):
-        raise CromwellViolation(f"weights must be at least {TINY}, got {w}")
-    s = w.sum()
-    if abs(s - 1.0) > SUM_TOL:
-        raise DomainError(f"weights sum to {s}, expected 1 within {SUM_TOL}")
-    w = w / s
-    w.flags.writeable = False
-    return w
+        x = np.maximum(x, float(floor))
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"{what} must be finite, got {x}")
+    if np.any(x < TINY):
+        raise CromwellViolation(f"{what} must be at least {TINY}, got {x}")
+    return x
+
+
+def _law(x, what: str, ndim: Optional[int], floor=None) -> np.ndarray:
+    """The one check of a probability law, or of a table of laws along its
+    last axis: ``_positive``'s array, refused unless each law sums to 1
+    within SUM_TOL, then divided by its sum and made read-only."""
+    x = _positive(x, what, ndim, floor)
+    sums = x.sum(axis=-1, keepdims=True)
+    if np.any(np.abs(sums - 1.0) > SUM_TOL):
+        raise DomainError(f"{what} must sum to 1 within {SUM_TOL}, got "
+                          f"{sums.ravel()}")
+    x = x / sums
+    x.flags.writeable = False
+    return x
 
 
 class Measure:
@@ -310,12 +323,9 @@ class Measure:
 class IID(Measure):
     """Independent draws from fixed weights."""
 
-    def __init__(self, weights, alphabet: Optional[Alphabet] = None,
-                 floor: Optional[float] = None):
-        w = _validated_weights(weights, floor)
-        super().__init__(alphabet or Alphabet(w.size))
-        if w.size != self.a:
-            raise DomainError("weight vector length does not match alphabet")
+    def __init__(self, weights, floor: Optional[float] = None):
+        w = _law(weights, "weights", 1, floor)
+        super().__init__(Alphabet(w.size))
         self._w = w
         self._logw = np.log(w)
 
@@ -352,47 +362,26 @@ class Markov(Measure):
 
     ``transition`` has shape (a,)*k + (a,). ``initial`` supplies the laws for
     histories shorter than k: a list where ``initial[j]`` has shape
-    (a,)*j + (a,); for order 1 a plain vector is accepted. ``context`` is the
-    already-observed tail used by conditioned copies.
+    (a,)*j + (a,); for order 1 a plain vector is accepted.
     """
 
-    def __init__(self, transition, initial=None, context: String = (),
-                 alphabet: Optional[Alphabet] = None, floor: Optional[float] = None):
-        tr = np.asarray(transition, dtype=float)
-        a = tr.shape[-1]
-        super().__init__(alphabet or Alphabet(a))
-        if tr.shape != (a,) * tr.ndim:
-            raise DomainError(f"transition table has inconsistent shape {tr.shape}")
-        self.order = tr.ndim - 1
-        self._tr = self._norm_table(tr, floor)
-
+    def __init__(self, transition, initial=None, floor: Optional[float] = None):
+        self._tr = _law(transition, "transition", None, floor)
+        self.order, a = self._tr.ndim - 1, self._tr.shape[-1]
+        super().__init__(Alphabet(a))
         if initial is None:
             initial = [np.full((a,) * j + (a,), 1.0 / a) for j in range(self.order)]
-        elif self.order == 1 and np.asarray(initial).ndim == 1:
-            initial = [np.asarray(initial, dtype=float)]
-        self._init = [self._norm_table(np.asarray(t, dtype=float), floor)
-                      for t in initial]
-        if len(self._init) != self.order:
-            raise DomainError(f"need {self.order} initial laws, got {len(self._init)}")
-        for j, t in enumerate(self._init):
-            if t.shape != (a,) * (j + 1):
-                raise DomainError(f"initial law {j} has shape {t.shape}")
-        self._context = _tail(self.alphabet.check_string(context), self.order)
-        self._states = {self._context: self}  # one conditional per context, shared
-
-    def _norm_table(self, t: np.ndarray, floor) -> np.ndarray:
-        if not np.all(np.isfinite(t)):
-            raise DomainError(f"transition entries must be finite, got {t}")
-        if floor is not None:
-            t = np.maximum(t, floor)
-        if np.any(t < TINY):
-            raise CromwellViolation(f"transition entries must be at least {TINY}")
-        sums = t.sum(axis=-1, keepdims=True)
-        if np.any(np.abs(sums - 1.0) > SUM_TOL):
-            raise DomainError("a transition row does not sum to 1")
-        t = t / sums
-        t.flags.writeable = False
-        return t
+        elif self.order == 1 and np.ndim(initial) <= 1:
+            initial = [initial]
+        if len(initial) != self.order:
+            raise DomainError(f"need {self.order} initial laws, got {len(initial)}")
+        self._init = [_law(t, f"initial law {j}", j + 1, floor)
+                      for j, t in enumerate(initial)]
+        if any(t.shape[0] != a for t in self._init):
+            raise DomainError(f"initial law j must have shape (a,) * (j + 1) "
+                              f"with the transition's a = {a}")
+        self._context = ()
+        self._states = {(): self}  # one conditional per context, shared
 
     def dist_from_tail(self, tail: String) -> np.ndarray:
         if len(tail) == self.order:
@@ -426,15 +415,9 @@ class BetaLearner(Measure):
     A child adds its symbol's count to the pseudo-counts.
     """
 
-    def __init__(self, pseudo_counts, alphabet: Optional[Alphabet] = None):
-        a = np.asarray(pseudo_counts, dtype=float)
-        if not np.all(np.isfinite(a)):
-            raise DomainError(f"pseudo-counts must be finite, got {a}")
-        if a.ndim != 1 or np.any(a < TINY):
-            raise CromwellViolation(f"pseudo-counts must be at least {TINY}")
-        super().__init__(alphabet or Alphabet(a.size))
-        if a.size != self.a:
-            raise DomainError("pseudo-count length does not match alphabet")
+    def __init__(self, pseudo_counts):
+        a = _positive(pseudo_counts, "pseudo-counts", 1)
+        super().__init__(Alphabet(a.size))
         a.flags.writeable = False
         self._alpha = a
         self._alpha0 = float(a.sum())
@@ -497,15 +480,13 @@ class FiniteMixture(Measure):
 
     def __init__(self, weights, components: Sequence[Measure]):
         comps = list(components)
-        w = _validated_weights(weights, None)
-        if not comps:
-            raise DomainError("mixture needs at least one component")
+        w = _law(weights, "weights", 1)
+        if w.size != len(comps):
+            raise DomainError("one weight per component required")
         super().__init__(comps[0].alphabet)
         for c in comps:
             if c.alphabet.size != self.a:
                 raise DomainError("mixture components disagree on the alphabet")
-        if w.size != len(comps):
-            raise DomainError("one weight per component required")
         self.components = comps
         self._lw = np.log(w).tolist()  # log weights, as floats
         self._next = None  # _laws(), on first use

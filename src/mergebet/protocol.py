@@ -68,10 +68,11 @@ class HedgeLeg:
     other: Measure
     horizon: int
 
-    def advance(self, y: int, step: Optional[tuple] = None) -> Optional[float]:
-        """Observe one symbol, already checked against the alphabet; returns
-        the cash payoff if the leg expires. Legs of one pair share ``step``."""
-        ratio, self.own, self.other = step or leg_step(self.own, self.other, y)
+    def advance(self, step: Tuple[float, Measure, Measure]) -> Optional[float]:
+        """Move by ``leg_step``'s ratio and children at the observed symbol,
+        which the legs of one pair share; returns the cash payoff if the leg
+        expires."""
+        ratio, self.own, self.other = step
         self.scale *= ratio
         self.horizon -= 1
         return self.scale if self.horizon == 0 else None
@@ -192,7 +193,7 @@ class ProtocolState:
             kept = []
             for k, leg in pf.legs:
                 pair = leg.own, leg.other
-                payoff = leg.advance(y, steps.get(pair) or steps.setdefault(
+                payoff = leg.advance(steps.get(pair) or steps.setdefault(
                     pair, leg_step(*pair, y)))
                 if payoff is None:
                     kept.append((k, leg))

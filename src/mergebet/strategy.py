@@ -96,9 +96,7 @@ class EpsilonComponent:
         self.bet_steps.append(step)
 
     def settle(self) -> None:
-        """Close the open cycle once the engine has run its legs to expiry."""
-        if self.legs is None or self.legs[0].horizon > 0:
-            return
+        """Close the open cycle, whose legs the engine has run to expiry."""
         mult_i, mult_ii = self.legs[0].scale, self.legs[1].scale
         self.cycles.append(CycleRecord(self.bet_steps[-1], *self._cycle,
                                        mult_i, mult_ii))

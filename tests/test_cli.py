@@ -21,7 +21,7 @@ from mergebet.cli import cli, main
 from mergebet.harness import TRACE_HEADER, ExperimentConfig
 from mergebet.scenarios import catalog
 
-from test_harness import FAIR, betting_config, tiny_config
+from test_harness import FAIR, MARKOV_MIX_CHAINS, betting_config, tiny_config
 
 
 def write_config(tmp_path, d, name="cfg.json"):
@@ -308,6 +308,25 @@ def test_a_subnormal_model_number_exits_3_before_step_1(tmp_path, monkeypatch,
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("measure, law", [
+    ({"family": "markov", "transition": 0.5}, "transition"),
+    ({"family": "beta_learner", "pseudo_counts": 1.0}, "pseudo-counts"),
+    ({"family": "beta_learner", "pseudo_counts": [[1.0, 1.0]]}, "pseudo-counts")])
+def test_a_law_of_the_wrong_shape_exits_2_before_step_1(tmp_path, monkeypatch,
+                                                        capsys, measure, law):
+    def never(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr("mergebet.cli.run_experiment", never)
+    d = catalog()["merge-beta"]
+    d["T"], d["forecaster_I"]["measure"] = 3, measure
+    out = tmp_path / "o"
+    assert exit_code(["run", "--config", write_config(tmp_path, d),
+                      "--out", str(out)]) == 2
+    assert f"forecaster_I.measure: {law} must have shape" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 def test_the_smallest_normal_model_number_parses():
     tiny = sys.float_info.min
     for name in ("merge-beta", "diverge-iid"):
@@ -358,6 +377,21 @@ COSTS = {("T",): 5, ("sceptic", "J"): 20, ("sceptic", "M_max"): 100,
          ("m_report",): 8}
 
 
+#: a seed besides the catalog's, whose configs hold neither a Markov chain nor
+#: a conditioned measure: perfbench markov-mix's mixtures of two chains, one
+#: announced after a prefix
+MARKOV_MIX = tiny_config(
+    T=5, sceptic={"J": 8, "M_max": 8}, m_report=6,
+    forecaster_I={"kind": "coherent", "measure": {
+        "family": "mixture", "weights": [0.5, 0.5],
+        "components": MARKOV_MIX_CHAINS}},
+    forecaster_II={"kind": "coherent", "measure": {
+        "family": "conditioned", "prefix": [1, 0], "base": {
+            "family": "mixture", "weights": [0.9, 0.1],
+            "components": MARKOV_MIX_CHAINS}}},
+    reality={"kind": "sample", "measure": MARKOV_MIX_CHAINS[0]})
+
+
 def places(node, path=()):
     """The path of every object, list and value in a config."""
     yield path
@@ -374,10 +408,11 @@ def at(node, path):
 
 @st.composite
 def mutated_configs(draw):
-    """A catalog config with one to three keys dropped, added or retyped,
-    anywhere; then no larger than COSTS."""
-    name = draw(st.sampled_from(sorted(catalog())))
-    cfg = json.loads(json.dumps(catalog()[name]))  # no shared objects
+    """A catalog config, or MARKOV_MIX, with one to three keys dropped,
+    added or retyped, anywhere; then no larger than COSTS."""
+    seeds = {**catalog(), "markov-mix": MARKOV_MIX}
+    name = draw(st.sampled_from(sorted(seeds)))
+    cfg = json.loads(json.dumps(seeds[name]))  # no shared objects
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(places(cfg))))
         node, op = at(cfg, path), draw(st.sampled_from(["drop", "add", "set"]))

@@ -303,9 +303,9 @@ def test_engine_is_the_only_book_of_hedge_legs(monkeypatch):
     advances, held = [], []
     advance, settle = HedgeLeg.advance, ProtocolState.settle_step
 
-    def counted_advance(self, y, step=None):
-        advances.append(y)
-        return advance(self, y, step)
+    def counted_advance(self, step):
+        advances.append(step)
+        return advance(self, step)
 
     def counted_settle(self, y, pair):
         held.append(sum(len(pf.legs) for pf in self.portfolios.values()))
@@ -327,9 +327,9 @@ def test_one_settlement_advances_one_leg_per_side_for_a_cohort(monkeypatch):
     advanced = []
     advance = HedgeLeg.advance
 
-    def counted_advance(self, y, step=None):
+    def counted_advance(self, step):
         advanced.append(self)
-        return advance(self, y, step)
+        return advance(self, step)
 
     monkeypatch.setattr(HedgeLeg, "advance", counted_advance)
     pair = ForecastPair(IID([0.9, 0.1]), IID([0.1, 0.9]))

@@ -271,9 +271,62 @@ def test_a_non_finite_model_number_is_a_domain_error(family, bad):
         NON_FINITE_MODELS[family](bad)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_a_non_finite_floor_is_a_domain_error(bad):
+    # the floor is applied before the finiteness check: a NaN floor made
+    # every weight NaN, which no later check refused
+    for build in (lambda: IID([0.5, 0.5], floor=bad),
+                  lambda: Markov(np.full((2, 2), 0.5), floor=bad)):
+        with pytest.raises(DomainError, match="must be finite"):
+            build()
+
+
 def test_weights_must_sum_to_one():
     with pytest.raises(DomainError):
         IID([0.5, 0.6])
+
+
+LAWS_OF_THE_WRONG_SHAPE = {
+    "iid scalar": lambda: IID(0.5),
+    "iid empty": lambda: IID([]),
+    "iid table": lambda: IID([[0.5, 0.5], [0.5, 0.5]]),
+    "markov scalar": lambda: Markov(0.5),
+    "markov empty": lambda: Markov([]),
+    "markov not square": lambda: Markov([[0.5, 0.5]]),
+    "markov scalar initial": lambda: Markov(np.full((2, 2), 0.5), initial=0.5),
+    "markov initial table": lambda: Markov(np.full((2, 2), 0.5),
+                                           initial=[[[0.5, 0.5]]]),
+    "markov initial of 3 symbols": lambda: Markov(np.full((2, 2), 0.5),
+                                                  initial=np.full(3, 1 / 3)),
+    "beta scalar": lambda: BetaLearner(1.0),
+    "beta table": lambda: BetaLearner([[1.0, 1.0]]),
+    "beta table with a zero": lambda: BetaLearner([[0.0, 1.0]]),
+    "mixture scalar weight": lambda: FiniteMixture(1.0, [bernoulli(0.4)]),
+    "mixture of no components": lambda: FiniteMixture([1.0], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAWS_OF_THE_WRONG_SHAPE))
+def test_a_law_of_the_wrong_shape_is_a_domain_error(name):
+    # refused before any finiteness or positivity (Cromwell) check
+    with pytest.raises(DomainError, match="shape|one weight per component"):
+        LAWS_OF_THE_WRONG_SHAPE[name]()
+
+
+def test_a_measure_takes_its_alphabet_from_its_law():
+    # an alphabet argument could disagree with the law: a two-state chain
+    # built with Alphabet(3) had a == 3, and condition((2,)) an IndexError
+    chain = [[0.9, 0.1], [0.2, 0.8]]
+    for build in (lambda **kw: IID([0.5, 0.5], **kw),
+                  lambda **kw: Markov(chain, **kw),
+                  lambda **kw: BetaLearner([1.0, 1.0], **kw)):
+        assert build().a == 2
+        with pytest.raises(TypeError):
+            build(alphabet=Alphabet(3))
+    with pytest.raises(TypeError):
+        Markov(chain, context=(1,))
+    with pytest.raises(DomainError, match="symbol 2 outside alphabet of size 2"):
+        Markov(chain).condition((2,))
 
 
 def test_alphabet_rejects_bad_symbols():

@@ -432,9 +432,7 @@ def test_engine_cache_gives_a_reused_id_a_fresh_engine():
         for _ in range(ENGINE_CACHE_SIZE):  # push (p, q) out of the cache
             pair_profile(q, bernoulli(0.4))
         del p
-        # the allocator hands out the freed block again; sharing q's
-        # alphabet keeps a new Alphabet object from taking it first
-        p = IID(weights, q.alphabet)
+        p = IID(weights)  # the allocator hands out the freed block again
         if id(p) == dead_id:
             break
     assert id(p) == dead_id, "no id was reused; the check did not run"

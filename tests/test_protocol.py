@@ -9,7 +9,7 @@ from mergebet.harness import incremental_capitals
 from mergebet.measures import Alphabet, IID, bernoulli
 from mergebet.metrics import hellinger_restricted
 from mergebet.protocol import (BetOrder, ForecastPair, HedgeLeg, ProtocolState,
-                               order_cost)
+                               leg_step, order_cost)
 from mergebet.strategy import build_hedge
 
 from conftest import random_measure
@@ -213,7 +213,7 @@ def test_symbolic_leg_equals_explicit_hedge():
         order_cost(explicit, p), abs=1e-12)
     payoff = None
     for y in (1, 0, 1, 1):
-        payoff = leg.advance(y)
+        payoff = leg.advance(leg_step(leg.own, leg.other, y))
     ratio = math.exp(0.5 * (q.cylinder_log_prob((1, 0, 1, 1))
                             - p.cylinder_log_prob((1, 0, 1, 1))))
     assert payoff == pytest.approx(ratio / h, abs=1e-12)
