@@ -61,8 +61,6 @@ Symbol = int
 String = tuple  # tuple of symbols; () is the empty string
 
 _RAMP = np.arange(256.0)  # Beta rising-factorial offsets; regrown on demand
-_ROW_PAIRS: dict = {}  # row_pair_value's, by ids; an entry holds its arrays
-ROW_PAIR_CACHE_SIZE = 256  # entries; one more clears them all
 
 #: tolerance for checking that a supplied distribution sums to one
 SUM_TOL = 1e-9
@@ -538,6 +536,13 @@ class FiniteMixture(Measure):
     def type_key(self):
         return joint_type(self.components)
 
+    def spread(self, table: TypeTable, rows: slice) -> float:
+        """``_collapsed``'s max(L_k - L_i), at least 0, over ``rows`` and every
+        component k but the live one i, of log weight 0.0; -inf for no k."""
+        lps = [c.type_log_probs(table, rows) for c in self.components]
+        li = lps.pop(self._lw.index(0.0))
+        return max([0.0] + [float((r - li).max()) for r in lps]) if lps else -math.inf
+
     def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
         # logsumexp of the rows r_k = L_k + w_k, added in order as
         # np.sum(axis=0) of a stack; a concentrated posterior (_collapsed)
@@ -560,32 +565,20 @@ def _collapsed(lps: list, lw: list) -> Optional[int]:
     The gate w_k - w_i + max(L_k - L_i) errs from a computed r_k - r_i by a
     few ulps of |L| + |w|, inside the margin ln 26 while those are below
     1e15. As max(L_k - L_i) >= 0 (both laws sum to 1 over a level of the same
-    multiplicities), the weights' gap is checked first."""
+    multiplicities), the weights' gap is checked first. The argument holds row
+    by row, and a float sum is monotone in each term: so w + s < cut, with w
+    the second largest weight and s >= 0 the largest L_k - L_i over more rows
+    (``FiniteMixture.spread`` over levels 0..d), gives the verdict i on each
+    level among them, whichever rows it is scored with."""
     *rest, top = sorted(lw)
     cut = top - 40.0 - math.log(len(lw))
     if rest and rest[-1] >= cut:
         return None
     i = lw.index(top)
-    li = lps[i]
     for k, (r, v) in enumerate(zip(lps, lw)):
-        if k != i and not v + row_pair_value(
-                r, li, None, lambda r, li: float((r - li).max()), r, li) < cut:
+        if k != i and not v + float((r - lps[i]).max()) < cut:
             return None
     return i
-
-
-def row_pair_value(r: np.ndarray, s: np.ndarray, tag, compute: Callable, *args):
-    """compute(*args), kept by (id(r), id(s), tag) when both rows are read-only:
-    memoised chain rows, which recur from step to step; fresh ones never do."""
-    if r.flags.writeable or s.flags.writeable:
-        return compute(*args)
-    key = id(r), id(s), tag
-    hit = _ROW_PAIRS.get(key)
-    if hit is None:
-        if len(_ROW_PAIRS) >= ROW_PAIR_CACHE_SIZE:
-            _ROW_PAIRS.clear()
-        hit = _ROW_PAIRS[key] = r, s, compute(*args)
-    return hit[2]
 
 
 class Conditioned(Measure):

@@ -14,12 +14,13 @@ three routes that fits its measures, and is picked in this module alone:
              fills every level up to m; refused beyond a budget.
 
 ``HorizonProfile``, the engine of one pair, memoises H_m, TV_m (which has no
-chain form) and its search answers, and keeps a level's sum over two memoised
-rows by their identity for later engines (``row_pair_value``). Measures are
-immutable, so ``pair_profile`` finds the engines of the last few pairs again
-by the identity of the two measures, in either order: legs step onto the
-announced measures (``child`` is memoised), so a coherent step's report,
-horizon search and leg marks read one engine.
+chain form) and its search answers. Measures are immutable, so ``pair_profile``
+finds the engines of the last few pairs again by the identity of the two
+measures, in either order: legs step onto the announced measures (``child`` is
+memoised), so a coherent step's report, horizon search and leg marks read one
+engine. Two mixtures collapsed onto live components read those components'
+rows alone, so each step's new posterior pair takes over the last one's engine
+for the levels it has read (``HorizonProfile.serve``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .measures import (Measure, String, _tail, joint_type, row_pair_value,
-                       type_table)
+from .measures import FiniteMixture, Measure, String, _tail, joint_type, type_table
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -191,12 +191,15 @@ class HorizonProfile:
         self._memo = ({0: 1.0}, {0: 0.0})  # H_m, TV_m
         self._terms = (None,)  # the type pass read last, and its H terms
         self._answers = None  # search answers by (m_max, threshold)
+        self.depth, self._spreads = math.inf, None  # shared: see serve
 
     def _read(self, m: int, which: int) -> float:
         """H_m (which = 0) or TV_m (1), memoised."""
         v = self._memo[which].get(m)
         if v is not None:
             return v
+        if m > self.depth:  # a shared engine's pair reads deeper levels alone
+            self.__init__(self.p, self.q, self.budget)
         level = self._level(m)
         if level is None:  # one walk fills the levels up to m no type serves
             hs, tvs = _walk_sums((self.p, self.q), m, self.budget, (
@@ -210,9 +213,7 @@ class HorizonProfile:
                 j -= 1
                 level = self._level(j)
             return self._memo[which][m]
-        arrays, rows = level
-        v = self._memo[which][m] = row_pair_value(arrays[1], arrays[2], (
-            m, which, rows is None), self._sum, arrays, rows, which)
+        v = self._memo[which][m] = self._sum(*level, which)
         return v
 
     def _sum(self, arrays: tuple, rows: Optional[slice], which: int) -> float:
@@ -224,6 +225,22 @@ class HorizonProfile:
         lc, lp, lq = arrays if rows is None else (x[rows] for x in arrays)
         return (min(float(np.exp(lc + 0.5 * (lp + lq)).sum()), 1.0) if which == 0
                 else float(np.abs(np.exp(lc + lp) - np.exp(lc + lq)).sum()))
+
+    def serve(self, p: Measure, q: Measure) -> bool:
+        """Serve (p, q) from now on if its reads at levels 0..d, the deepest it
+        has read, are theirs bit for bit: both pairs are mixtures of one live
+        key that ``_collapsed`` reduces to those rows on every row of 0..d."""
+        if self._spreads is None:  # once per engine
+            d, t = max([*self._memo[0], *self._memo[1]]), self._level.table
+            self._spreads = d, self._level(d) and [
+                x.spread(t, slice(0, t.stop[d])) for x in (self.p, self.q)]
+        if not self._spreads[1] or not all(
+                sorted(x._lw)[-2:][0] + s < 0.0 - 40.0 - math.log(len(x._lw))
+                for x, s in zip((self.p, self.q, p, q), self._spreads[1] * 2)):
+            return False
+        _ENGINES.pop((id(self.p), id(self.q), self.budget), None)
+        self.p, self.q, self.depth = p, q, self._spreads[0]
+        return True
 
     def h(self, m: int) -> float:
         """Affinity H_m = sum over Y^m of sqrt(P(x) Q(x)); in [0, 1]."""
@@ -277,8 +294,8 @@ class HorizonProfile:
         return found
 
 
-#: engines of the pairs met last, oldest first, by (id(p), id(q), budget); an
-#: entry holds its measures, so no other object can take an id in its key
+#: engines of the pairs met last, oldest first, by ids and budget or live key;
+#: an entry holds all that its key names, so no other object can take an id
 _ENGINES: Dict[tuple, HorizonProfile] = {}
 #: a coherent step reads one pair, the announced one, which its legs mark
 #: too; only a scripted forecaster's legs read other pairs
@@ -288,14 +305,24 @@ ENGINE_CACHE_SIZE = 8
 def pair_profile(p: Measure, q: Measure,
                  budget: int = DEFAULT_BUDGET) -> HorizonProfile:
     """The engine of (p, q), reused while the pair is among the last met.
-    (q, p) reads the same engine: H_m and TV_m are symmetric term by term."""
+    (q, p) reads the same engine: H_m and TV_m are symmetric term by term. A
+    new pair of collapsed mixtures takes its live key's engine over if it may
+    (``serve``); that engine serves the pair looked up last, so read it then."""
     key = (id(p), id(q), budget)
     engine = _ENGINES.get(key) or _ENGINES.get((id(q), id(p), budget))
     if engine is None:
         _check(0, p, q)
-        if len(_ENGINES) >= ENGINE_CACHE_SIZE:
+        live = key  # or, for two collapsed mixtures, their live key
+        if (isinstance(p, FiniteMixture) and isinstance(q, FiniteMixture)
+                and 0.0 in p._lw and 0.0 in q._lw):
+            live = (*[(tuple(map(id, x.components)), x._lw.index(0.0))
+                      for x in (p, q)], budget)
+        engine = _ENGINES.pop(live, None)
+        if engine is None or not engine.serve(p, q):
+            engine = HorizonProfile(p, q, budget)
+        _ENGINES[live] = _ENGINES[key] = engine
+        while len(_ENGINES) > ENGINE_CACHE_SIZE:
             del _ENGINES[next(iter(_ENGINES))]
-        engine = _ENGINES[key] = HorizonProfile(p, q, budget)
     return engine
 
 

@@ -22,9 +22,10 @@ announced forecast and reads the announced pair's engine.
 The engine is the only book of hedge legs. An order carries each leg next to
 a coefficient (for the Sceptic, one unit leg per cohort of components at their
 summed stake), and the engine books that very object: ``settle_step`` is the
-one place a leg advances. A mark reads, and a settlement steps, each distinct
-pair (own, other) of its legs once. A side's book is an order plus cash, and
-``capital``, the cash plus that order's cost, is the one valuation of a side.
+one place a leg advances. A settlement steps each distinct pair (own, other)
+of its legs once, and a mark looks each up once per run of its legs. A side's
+book is an order plus cash, and ``capital``, the cash plus that order's cost,
+is the one valuation of a side; its sums (``total``) read inf on overflow.
 """
 
 from __future__ import annotations
@@ -115,20 +116,29 @@ class BetOrder:
         return not self.legs and all(v == 0.0 for v in self.stakes.values())
 
 
+def total(values: list) -> float:
+    """``math.fsum`` of a capital's terms, or their plain sum where it raises:
+    inf when finite terms overflow, nan for inf - inf."""
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)
+
+
 def order_cost(order: BetOrder, forecast: Measure,
                budget: int = DEFAULT_BUDGET) -> float:
     """Purchase cost of the order at the forecast's quoted prices."""
-    cost = math.fsum(v * math.exp(forecast.cylinder_log_prob(x))
-                     for x, v in order.stakes.items())
-    engines, marks = {}, []
+    cost = total([v * math.exp(forecast.cylinder_log_prob(x))
+                  for x, v in order.stakes.items()])
+    pair, marks = None, []
     for k, leg in order.legs:
         if leg.horizon < 0:
             raise DomainError("horizon must be >= 0")
-        pair = leg.own, leg.other
-        engine = engines.get(pair) or engines.setdefault(
-            pair, pair_profile(*pair, budget))
+        if pair != (leg.own, leg.other):  # a shared engine serves the last lookup
+            pair = leg.own, leg.other
+            engine = pair_profile(*pair, budget)
         marks.append(k * (leg.scale * engine.h(leg.horizon)))
-    return cost + math.fsum(marks)
+    return cost + total(marks)
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .errors import DomainError
 from .measures import Measure
 from .metrics import (DEFAULT_BUDGET, hellinger_restricted, pair_profile,
                       tree_walk)
-from .protocol import BetOrder, ForecastPair, HedgeLeg, ProtocolState
+from .protocol import BetOrder, ForecastPair, HedgeLeg, ProtocolState, total
 
 
 def build_hedge(p_own: Measure, p_other: Measure, m: int, k: float,
@@ -142,8 +142,8 @@ class MixtureSceptic:
                     HedgeLeg(1.0 / h, forecasts.p_ii, forecasts.p_i, m))
             for _, comp in cohort:
                 comp.open_cycle(legs, h, self._step)
-            legs_i.append((math.fsum(w * c.capital_i for w, c in cohort), legs[0]))
-            legs_ii.append((math.fsum(w * c.capital_ii for w, c in cohort), legs[1]))
+            legs_i.append((total([w * c.capital_i for w, c in cohort]), legs[0]))
+            legs_ii.append((total([w * c.capital_ii for w, c in cohort]), legs[1]))
             self._due.setdefault(self._step + m - 1, []).extend(c for _, c in cohort)
         self.last_bets_placed = bool(legs_i)
         self.last_active = len(self.components) - found.count(None)

@@ -88,6 +88,21 @@ def test_a_capital_past_floats_exits_5_with_strict_json(tmp_path):
         "trace_seed1.csv", "trace_seed2.csv"]
 
 
+def test_a_mark_that_overflows_its_sum_exits_5_with_every_file(tmp_path):
+    # diverge-iid's side II marks finite legs whose sum passes 2^1024 at step
+    # 34282: the sum reads inf (math.fsum raised OverflowError, exit 1)
+    cfg = write_config(tmp_path, dict(catalog()["diverge-iid"], T=36000))
+    out = tmp_path / "out"
+    assert exit_code(["run", "--config", cfg, "--out", str(out)]) == 5
+    rows = (out / "trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 36000
+    first = next(int(r.split(",")[0]) for r in rows if not all(
+        math.isfinite(float(v)) for v in r.split(",")[4:7]))
+    report = json.loads((out / "summary.json").read_text())
+    assert report["nonfinite_step"] == first == 34282
+    assert report["final_log2_k2"] is None and report["steps"] == 36000
+
+
 def test_run_reproducible(tmp_path):
     cfg = write_config(tmp_path, betting_config(T=25, seed=9))
     runner = CliRunner()

@@ -375,8 +375,9 @@ MARKOV_MIX_CHAINS = [
 def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
     # a mixture's type level sums its components' rows itself; and once the
     # horizon search settles, each step scores its two fresh posteriors at
-    # two levels (the search's and the report's) of singular-pair's large
-    # table, and once each over every level of markov-mix's small one
+    # most at two levels (the search's and the report's) of singular-pair's
+    # large table (none once the pair shares an engine), and once each over
+    # every level of markov-mix's small one
     def refuse(*args, **kwargs):
         raise AssertionError("measures.logsumexp reached")
 
@@ -421,8 +422,9 @@ def test_fresh_mixture_posteriors_skip_the_generic_logsumexp(monkeypatch):
 def test_concentrated_posteriors_skip_the_full_logsumexp(monkeypatch):
     # singular-pair's skew components lose all weight that a sum holding 1.0
     # could show within ~30 steps, so from then on every mixture level reads
-    # its live component alone; markov-mix's posteriors stay mixed (its most
-    # concentrated log-weight gap over seeds 16-31 is -12.7)
+    # its live component alone, and each step's pair takes over the last
+    # one's engine, which scores nothing anew; markov-mix's posteriors stay
+    # mixed (its most concentrated log-weight gap over seeds 16-31 is -12.7)
     calls, per_step = [0, 0], []  # scorings, full sums
     collapsed, settle = measures._collapsed, ProtocolState.settle_step
 
@@ -443,7 +445,7 @@ def test_concentrated_posteriors_skip_the_full_logsumexp(monkeypatch):
     cfg.t = 600
     run_experiment(cfg)
     late = per_step[400:]
-    assert len(late) == 200 and sum(c[0] for c in late) >= 200
+    assert len(late) == 200 and sum(c[0] for c in late) == 0
     assert sum(c[1] for c in late) == 0
 
     def mix(w):

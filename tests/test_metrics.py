@@ -2,12 +2,15 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from mergebet import harness, measures, metrics
+from mergebet import harness, measures, metrics, protocol, strategy
 from mergebet.errors import BudgetExceeded, DomainError
 from mergebet.measures import (BetaLearner, Conditioned, FiniteMixture, IID,
                                Markov, Measure, bernoulli, joint_type,
@@ -17,7 +20,10 @@ from mergebet.metrics import (DEFAULT_BUDGET, ENGINE_CACHE_SIZE,
                               expectation_sqrt_ratio, hellinger_restricted,
                               hellinger_tv_bounds, pair_profile, tree_walk,
                               tv_restricted)
-from mergebet.harness import ExperimentConfig, oracle_metrics, run_experiment
+from mergebet.harness import (TRACE_HEADER, ExperimentConfig, oracle_metrics,
+                              run_experiment)
+from mergebet.protocol import ProtocolState
+from mergebet.scenarios import catalog
 from mergebet.strategy import MixtureSceptic
 
 from conftest import (random_beta, random_iid, random_markov, random_measure,
@@ -747,32 +753,140 @@ def count_sums(monkeypatch):
 
 def test_a_concentrated_pair_sums_no_level_after_step_50(monkeypatch):
     # both posteriors collapse onto the fair component by step 30 or so;
-    # from then on every level's rows are that component's memoised arrays
+    # from then on each step's pair takes over the last one's engine
     count = count_sums(monkeypatch)
-    measures._ROW_PAIRS.clear()
     run_experiment(singular(t=600))
     assert count["steps"] == 600 and 0 < count["last"] <= 50
 
 
-def test_shared_row_sums_equal_a_cold_engines(monkeypatch):
+def test_a_shared_engine_reads_what_a_fresh_one_reads():
     cfg = singular(t=200)
     late = []
     harness.play(cfg.forecasters(), MixtureSceptic(cfg.j_max, cfg.m_max),
                  cfg.reality, cfg.t, on_step=lambda n, y, pair, state:
                  late.append((pair.p_i, pair.p_ii)) if n > 150 else None)
-    count = count_sums(monkeypatch)
+    engine = pair_profile(*late[-1])
     for p, q in late[::10]:
         assert p._lw[0] == q._lw[0] == 0.0  # collapsed: rows are shared
+        assert pair_profile(p, q) is engine and engine.depth == 64
+        fresh = HorizonProfile(p, q)
+        assert [engine.h(m) for m in range(65)] == [
+            fresh.h(m) for m in range(65)]
+        thresholds = [0.5, 1.0, 2.0]  # 2.0 bisects: every H_m is below it
+        assert engine.tv(8) == fresh.tv(8) and engine.search(
+            thresholds, 64) == fresh.search(thresholds, 64)
+    # a read past the depth is the pair's own: the engine is built anew, not
+    # read from its first pair (step 29 or so), which level 150 tells apart
+    assert engine.tv(150) == fresh.tv(150) == 0.0 and engine.depth == math.inf
+    assert engine.p is p
+    # nor is a pair on the same live rows served whose other weight shows
+    near = FiniteMixture([1.0, math.exp(-37.0)], p.components)
+    assert near._lw[0] == 0.0 and pair_profile(near, q) is not engine
+    assert pair_profile(near, q).tv(64) == HorizonProfile(near, q).tv(64) > 0.0
 
-        def read():
-            count["sums"] = 0
-            engine = HorizonProfile(p, q)
-            return [engine.h(m) for m in range(1, 65)] + [engine.tv(8)]
 
-        warm = read()
-        assert count["sums"] < 65  # the game's searches read H_64
-        measures._ROW_PAIRS.clear()
-        assert read() == warm and count["sums"] == 65
+def test_a_collapsed_pair_builds_scores_and_collapses_nothing_after_step_50(
+        monkeypatch):
+    # singular-pair (seed 1, T = 2000): once both posteriors collapse, near
+    # step 31, each step's new pair passes the shared engine's weight check
+    # once (its two later lookups find it by id) and reads its memo
+    names = ("builds", "collapsed", "mixture rows", "component rows", "checks")
+    calls, per_step = dict.fromkeys(names, 0), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    settle = ProtocolState.settle_step
+
+    def counted_settle(self, y, pair):
+        per_step.append(dict(calls))
+        calls.update(dict.fromkeys(names, 0))
+        return settle(self, y, pair)
+
+    for cls, attr, name in (
+            (HorizonProfile, "__init__", "builds"),
+            (HorizonProfile, "serve", "checks"),
+            (FiniteMixture, "type_log_probs", "mixture rows"),
+            (Measure, "type_log_probs", "component rows")):
+        monkeypatch.setattr(cls, attr, counted(name, cls.__dict__[attr]))
+    monkeypatch.setattr(measures, "_collapsed",
+                        counted("collapsed", measures._collapsed))
+    monkeypatch.setattr(ProtocolState, "settle_step", counted_settle)
+    run_experiment(singular(t=2000))
+    assert len(per_step) == 2000
+    assert all(c["collapsed"] and c["builds"] for c in per_step[:20])
+    for n, c in enumerate(per_step[50:], 51):
+        assert c == dict.fromkeys(names, 0) | {"checks": 1}, (n, c)
+
+
+def play_fresh(monkeypatch, cfg: ExperimentConfig) -> str:
+    """The trace of ``cfg`` played with a fresh engine at every lookup."""
+    with monkeypatch.context() as patch:
+        for mod in (metrics, protocol, strategy):
+            patch.setattr(mod, "pair_profile", lambda p, q, budget=DEFAULT_BUDGET:
+                          HorizonProfile(p, q, budget))
+        return run_experiment(cfg).to_csv()
+
+
+def test_a_pair_that_uncollapses_plays_as_with_fresh_engines(monkeypatch):
+    # 60 mixed symbols collapse both posteriors, so engines are shared; then
+    # 280 zeros revive skew_lo's weight (+0.69 nats a symbol) until its rows
+    # count again, first at level 64 (about 137 zeros in), then at level 8,
+    # until H_8 falls and the Sceptic bets
+    path = [0, 1] * 30 + [0] * 280
+
+    def game():
+        return ExperimentConfig.from_dict(dict(
+            catalog()["singular-pair"], T=len(path),
+            reality={"kind": "scripted", "string": path}))
+
+    steps, built = [0], set()  # the steps that built an engine
+    init, settle = HorizonProfile.__init__, ProtocolState.settle_step
+
+    def counted_init(self, *args, **kwargs):
+        built.add(steps[0])
+        init(self, *args, **kwargs)
+
+    def counted_settle(self, y, pair):
+        steps[0] += 1
+        return settle(self, y, pair)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HorizonProfile, "__init__", counted_init)
+        patch.setattr(ProtocolState, "settle_step", counted_settle)
+        shared = run_experiment(game()).to_csv()
+    assert built.isdisjoint(range(30, 190)) and built >= set(range(200, 340))
+    assert shared.splitlines()[-1].endswith(",20,1")  # every component bets
+    assert shared == play_fresh(monkeypatch, game())
+
+
+WARM_COLD = """
+import sys
+from mergebet.harness import ExperimentConfig, run_experiment
+from mergebet.scenarios import catalog
+for seed in map(int, sys.argv[1:]):
+    cfg = dict(catalog()["singular-pair"], T=2000, seed=seed)
+    csv = run_experiment(ExperimentConfig.from_dict(cfg)).to_csv()
+print(csv)
+"""
+
+
+def test_singular_pair_reads_the_same_bits_after_other_seeds():
+    # engines shared across games: seed 1 after seeds 2 and 3 in one process
+    # plays as in a fresh interpreter
+    src = os.path.dirname(os.path.dirname(os.path.abspath(metrics.__file__)))
+
+    def trace(*seeds):
+        return subprocess.run(
+            [sys.executable, "-c", WARM_COLD, *map(str, seeds)],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src)).stdout
+
+    cold = trace(1)
+    assert cold.startswith(TRACE_HEADER) and trace(2, 3, 1) == cold
 
 
 def test_memoised_chain_rows_are_read_only(rng):
@@ -797,18 +911,6 @@ def test_a_collapsed_mixture_returns_its_components_rows():
     # a posterior not yet concentrated sums its components afresh
     near = FiniteMixture([0.5, 0.5], [fair, skew]).condition((0, 1))
     assert near.type_log_probs(t, t.rows[8]).flags.writeable
-
-
-@pytest.mark.parametrize("cfg", [
-    pytest.param(lambda: ExperimentConfig.load("merge-beta"), id="merge-beta"),
-    pytest.param(lambda: markov_mix(8), id="markov-mix")])
-def test_fresh_rows_leave_the_row_pair_cache_empty(cfg):
-    # Beta learners' rows and full mixture sums are new arrays every step
-    cfg = cfg()
-    cfg.t = min(cfg.t, 300)
-    measures._ROW_PAIRS.clear()
-    run_experiment(cfg)
-    assert not measures._ROW_PAIRS
 
 
 def lowered_one_level_at_a_time(engine: HorizonProfile, m_max: int) -> int:

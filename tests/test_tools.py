@@ -1,7 +1,9 @@
-"""The tools: `trace_files.py --compare` on two small trace trees, and
-`paired_bench.py`'s summary of canned runs."""
+"""The tools: `trace_files.py --compare` on two small trace trees, the 30
+trace files against their committed digests, and `paired_bench.py`'s summary
+of canned runs."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -59,12 +61,31 @@ def test_compare_exits_1_when_another_column_or_a_file_differs(tmp_path):
     assert code == 1 and lines[0] == "w.csv: in one tree only"
 
 
-def paired_bench():
-    spec = importlib.util.spec_from_file_location(
-        "paired_bench", TOOL.parent / "paired_bench.py")
+def tool(name: str):
+    spec = importlib.util.spec_from_file_location(name, TOOL.parent / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def paired_bench():
+    return tool("paired_bench")
+
+
+def test_the_30_trace_files_match_their_committed_digests():
+    # every byte of the 30 files of trace_files.py, as traced in this process;
+    # a change that moves some on purpose rewrites the digests (--digests)
+    traces, root = tool("trace_files"), TOOL.parents[1]
+    want, have = json.loads((root / traces.DIGESTS).read_text()), traces.versions()
+    assert [have["python"], have["numpy"]] == [want["python"], want["numpy"]], (
+        f"{traces.DIGESTS} was traced by Python {want['python']} and numpy "
+        f"{want['numpy']}; this is Python {have['python']} and numpy "
+        f"{have['numpy']}: rewrite it with --digests on the parent commit")
+    got = {name: traces.digest(text) for name, text in traces.traces(root)}
+    moved = [f"{name}: {key}" for name in sorted(want["files"].keys() | got.keys())
+             for key in ("rows", "other", "capitals")
+             if got.get(name, {}).get(key) != want["files"].get(name, {}).get(key)]
+    assert not moved, "traces moved from their digests:\n" + "\n".join(moved)
 
 
 def test_paired_bench_summarizes_pairs_and_quartiles():
