@@ -178,6 +178,12 @@ class ExperimentConfig:
     budget: int = DEFAULT_BUDGET
     raw: dict = field(default_factory=dict)
 
+    def __setattr__(self, name: str, value) -> None:
+        if name == "seed" and getattr(self, "raw", None):  # reseeds Reality
+            self.reality = _reality(self.raw["reality"], self.alphabet_size,
+                                    self.t, _integer(value, "seed", 0), "reality")
+        super().__setattr__(name, value)
+
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         if not isinstance(d, dict):

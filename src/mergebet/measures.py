@@ -487,7 +487,7 @@ class FiniteMixture(Measure):
                 raise DomainError("mixture components disagree on the alphabet")
         self.components = comps
         self._lw = np.log(w).tolist()  # log weights, as floats
-        self._next = None  # _laws(), on first use
+        self._next = self._law = None  # _laws() and _mix(), on first use
 
     @property
     def _logw(self) -> np.ndarray:
@@ -497,20 +497,22 @@ class FiniteMixture(Measure):
     def weights(self) -> np.ndarray:
         return np.exp(self._logw)
 
-    def _laws(self) -> Tuple[list, np.ndarray]:
-        """Each component's law of the next symbol, and the mixture's."""
+    def _laws(self) -> list:  # each component's law of the next symbol
         if self._next is None:
-            laws = [c.one_step(()) for c in self.components]
-            law = reduce(np.add, [w * d for w, d in zip(
-                map(math.exp, self._lw), laws) if w])  # +0.0 adds nothing
-            law.flags.writeable = False
-            self._next = laws, law
+            self._next = [c.one_step(()) for c in self.components]
         return self._next
+
+    def _mix(self) -> np.ndarray:
+        """The mixture's law of the next symbol, built on its first read."""
+        law = self._law = reduce(np.add, [w * d for w, d in zip(
+            map(math.exp, self._lw), self._laws()) if w])  # +0.0 adds nothing
+        law.flags.writeable = False
+        return law
 
     def one_step(self, history: String) -> np.ndarray:
         history = tuple(history)
         if not history:
-            return self._laws()[1]
+            return self._mix() if self._law is None else self._law
         lw = self._logw + np.array([c.cylinder_log_prob(history)
                                     for c in self.components])
         dists = np.stack([c.one_step(history) for c in self.components])
@@ -524,11 +526,11 @@ class FiniteMixture(Measure):
     def _child(self, y: Symbol) -> "FiniteMixture":
         # Bayes' rule in floats: add each component's log law of y, then
         # renormalise by a max shift, so no weight rounds to a literal zero
-        lw = [v + math.log(d[y]) for v, d in zip(self._lw, self._laws()[0])]
+        lw = [v + math.log(d[y]) for v, d in zip(self._lw, self._laws())]
         hi = max(lw)
         z = hi + math.log(math.fsum(math.exp(v - hi) for v in lw))
         m = FiniteMixture.__new__(FiniteMixture)
-        m.alphabet, m._next, m._memo = self.alphabet, None, {}
+        m.alphabet, m._next, m._law, m._memo = self.alphabet, None, None, {}
         m.components = [c.child(y) for c in self.components]
         m._lw = [v - z for v in lw]
         return m

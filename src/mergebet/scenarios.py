@@ -51,7 +51,10 @@ class CoherentForecaster:
             return self.measure
         if len(history) == len(self._seen) + 1:
             y = int(history[-1])
-            self._cached = self._cached.condition((y,))
+            if not 0 <= y < self.measure.a:  # as condition((y,)) would
+                raise DomainError(f"symbol {y} outside alphabet of size "
+                                  f"{self.measure.a}")
+            self._cached = self._cached.child(y)
             self._seen.append(y)
         elif len(history) != len(self._seen) or list(history) != self._seen:
             self._cached = self.measure.condition(history)

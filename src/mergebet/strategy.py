@@ -124,13 +124,23 @@ class MixtureSceptic:
         self._step = 0
         #: settlement step -> the members of the cohorts that expire at it
         self._due: Dict[int, List[EpsilonComponent]] = {}
+        self._idle = None  # _idle_set(): kept until a cycle opens or settles
+
+    def _idle_set(self) -> Tuple[list, List[float]]:  # idle (w, c), 1 - eps
+        idle = [(w, c) for w, c in zip(self.weights, self.components)
+                if not c.holding]
+        return idle, [1.0 - c.epsilon for _, c in idle]
 
     def step_orders(self, forecasts: ForecastPair) -> Tuple[BetOrder, BetOrder]:
         self._step += 1
         engine = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget)
-        idle = [(w, c) for w, c in zip(self.weights, self.components)
-                if not c.holding]
-        found = engine.search([1.0 - c.epsilon for _, c in idle], self.m_max)
+        idle, thresholds = self._idle = self._idle or self._idle_set()
+        found = engine.search(thresholds, self.m_max)
+        self.last_active = len(self.components) - (quiet := found.count(None))
+        self.last_bets_placed = quiet < len(found)
+        if not self.last_bets_placed:  # no threshold certified: a quiet step
+            return BetOrder(), BetOrder()
+        self._idle = None
         cohorts: Dict[int, list] = {}
         for wc, m in zip(idle, found):
             if m is not None:
@@ -145,14 +155,13 @@ class MixtureSceptic:
             legs_i.append((total([w * c.capital_i for w, c in cohort]), legs[0]))
             legs_ii.append((total([w * c.capital_ii for w, c in cohort]), legs[1]))
             self._due.setdefault(self._step + m - 1, []).extend(c for _, c in cohort)
-        self.last_bets_placed = bool(legs_i)
-        self.last_active = len(self.components) - found.count(None)
         return BetOrder(legs=legs_i), BetOrder(legs=legs_ii)
 
     def settle(self, book: ProtocolState) -> None:
         """Close the cohorts whose legs the engine has run to expiry."""
         for comp in self._due.pop(self._step, ()):
             comp.settle()
+            self._idle = None
 
 
 class LimWrap:

@@ -735,6 +735,31 @@ def test_a_parsed_config_replays(overrides):
         first.to_csv()
 
 
+def test_a_seed_set_on_a_parsed_config_reseeds_its_reality():
+    # Reality is built at parse time; a new seed rebuilds it from its spec,
+    # so the game is the one parsed with that seed
+    cfg = ExperimentConfig.load("singular-pair")
+    cfg.t = 300
+    cfg.seed = 2
+    d = dict(catalog()["singular-pair"], T=300)
+    want = run_experiment(ExperimentConfig.from_dict(dict(d, seed=2))).to_csv()
+    assert run_experiment(cfg).to_csv() == want
+    assert want != run_experiment(ExperimentConfig.from_dict(d)).to_csv()
+    with pytest.raises(ConfigError, match="seed"):
+        cfg.seed = -1
+    assert cfg.seed == 2 and run_experiment(cfg).to_csv() == want
+    # a Reality that names its own seed, or scripts its string, keeps it
+    own = {"kind": "switch_at", "step": 12, "before": FAIR, "seed": 4,
+           "after": {"family": "iid", "weights": [0.8, 0.2]}}
+    for reality in (own, {"kind": "scripted", "string": [0, 1] * 20}):
+        d = tiny_config(T=40, sceptic={"J": 4, "M_max": 8}, seed=3,
+                        reality=reality)
+        cfg = ExperimentConfig.from_dict(d)
+        cfg.seed = 5
+        assert run_experiment(cfg).to_csv() == \
+            run_experiment(ExperimentConfig.from_dict(d)).to_csv()
+
+
 def test_trace_header_fixed():
     assert TRACE_HEADER == ("n,y,h_m,tv_m,log2_k1,log2_k2,log2_geomean,"
                             "components_active,bet_placed")

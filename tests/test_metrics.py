@@ -430,18 +430,21 @@ def test_engine_cache_stays_bounded():
 
 
 def test_engine_cache_gives_a_reused_id_a_fresh_engine():
-    q, weights = bernoulli(0.5), [0.9, 0.1]
-    for _ in range(100):
-        p = bernoulli(0.3)
-        pair_profile(p, q).h(1)
-        dead_id = id(p)
-        for _ in range(ENGINE_CACHE_SIZE):  # push (p, q) out of the cache
-            pair_profile(q, bernoulli(0.4))
-        del p
-        p = IID(weights)  # the allocator hands out the freed block again
-        if id(p) == dead_id:
-            break
+    q = bernoulli(0.5)
+    p = bernoulli(0.3)
+    pair_profile(p, q).h(1)
+    dead_id = id(p)
+    for _ in range(ENGINE_CACHE_SIZE):  # push (p, q) out of the cache
+        pair_profile(q, bernoulli(0.4))
+    # the allocator hands out a freed block before it carves a new one, so
+    # holding each bare IID that misses walks the free blocks of p's size up
+    # to p's own, which nothing else allocated meanwhile can take
+    held = []  # made before p dies
+    del p
+    while id(p := IID.__new__(IID)) != dead_id and len(held) < 10 ** 5:
+        held.append(p)
     assert id(p) == dead_id, "no id was reused; the check did not run"
+    IID.__init__(p, [0.9, 0.1])
     engine = pair_profile(p, q)
     assert engine.p is p
     assert engine.h(1) == pytest.approx(

@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from mergebet import harness
 from mergebet.errors import BudgetExceeded, DomainError
-from mergebet.harness import play
-from mergebet.measures import bernoulli
+from mergebet.harness import ExperimentConfig, play, run_experiment
+from mergebet.measures import FiniteMixture, bernoulli
 from mergebet.metrics import hellinger_restricted, pair_profile
-from mergebet.protocol import BetOrder, ForecastPair, HedgeLeg, order_cost
-from mergebet.scenarios import CoherentForecaster, ScriptedReality
+from mergebet.protocol import (BetOrder, ForecastPair, HedgeLeg, order_cost,
+                               total)
+from mergebet.scenarios import CoherentForecaster, ScriptedReality, catalog
 from mergebet.strategy import (EpsilonComponent, LimWrap, LimWrappedSceptic,
                                MixtureSceptic, build_hedge, wrap_capital_path)
 
-from conftest import random_measure
+from conftest import random_measure, random_simplex
 
 P04, P06 = bernoulli(0.4), bernoulli(0.6)
 
@@ -240,6 +242,149 @@ def test_mixture_linearity_along_run(rng):
                  CoinReality(rng), 20, on_step=check)
     assert state.n == 21
     assert sum(len(c.bet_steps) for c in mix.components) > 0
+
+
+class RebuildingSceptic(MixtureSceptic):
+    """The reference: the idle list and its thresholds rebuilt on every
+    step, and a quiet step's orders built like a betting step's."""
+
+    def step_orders(self, forecasts):
+        self._step += 1
+        engine = pair_profile(forecasts.p_i, forecasts.p_ii, self.budget)
+        idle = [(w, c) for w, c in zip(self.weights, self.components)
+                if not c.holding]
+        found = engine.search([1.0 - c.epsilon for _, c in idle], self.m_max)
+        cohorts = {}
+        for wc, m in zip(idle, found):
+            if m is not None:
+                cohorts.setdefault(m, []).append(wc)
+        legs_i, legs_ii = [], []
+        for m, cohort in cohorts.items():
+            h = engine.h(m)
+            legs = (HedgeLeg(1.0 / h, forecasts.p_i, forecasts.p_ii, m),
+                    HedgeLeg(1.0 / h, forecasts.p_ii, forecasts.p_i, m))
+            for _, comp in cohort:
+                comp.open_cycle(legs, h, self._step)
+            legs_i.append((total([w * c.capital_i for w, c in cohort]), legs[0]))
+            legs_ii.append((total([w * c.capital_ii for w, c in cohort]), legs[1]))
+            self._due.setdefault(self._step + m - 1, []).extend(
+                c for _, c in cohort)
+        self.last_bets_placed = bool(legs_i)
+        self.last_active = len(self.components) - found.count(None)
+        return BetOrder(legs=legs_i), BetOrder(legs=legs_ii)
+
+    def settle(self, book):
+        for comp in self._due.pop(self._step, ()):
+            comp.settle()
+
+
+def random_spec(rng) -> dict:
+    """An i.i.d., Beta or mixture-of-i.i.d. measure spec on two symbols."""
+    pick = rng.integers(0, 3)
+    if pick == 0:
+        return {"family": "iid", "weights": random_simplex(rng, 2).tolist()}
+    if pick == 1:
+        return {"family": "beta_learner",
+                "pseudo_counts": rng.uniform(0.2, 5.0, size=2).tolist()}
+    k = int(rng.integers(2, 4))
+    return {"family": "mixture",
+            "weights": random_simplex(rng, k, lo=0.05).tolist(),
+            "components": [{"family": "iid",
+                            "weights": random_simplex(rng, 2).tolist()}
+                           for _ in range(k)]}
+
+
+def orders_and_trace(monkeypatch, cls, config: dict):
+    """The orders of each step as (coefficient, scale, horizon, own is the
+    side's announcement, other is the other side's) per leg, the trace's CSV
+    and the components' bet steps, played by a Sceptic of class ``cls``."""
+    orders = []
+
+    class Recorded(cls):
+        def step_orders(self, forecasts):
+            pair = super().step_orders(forecasts)
+            sides = ((forecasts.p_i, forecasts.p_ii),
+                     (forecasts.p_ii, forecasts.p_i))
+            orders.append([(dict(o.stakes), [
+                (k, leg.scale, leg.horizon, leg.own is own, leg.other is other)
+                for k, leg in o.legs]) for o, (own, other) in zip(pair, sides)])
+            return pair
+
+    monkeypatch.setattr(harness, "MixtureSceptic", Recorded)
+    trace = run_experiment(ExperimentConfig.from_dict(config))
+    return orders, trace.to_csv(), trace.component_bet_steps
+
+
+def test_kept_idle_set_orders_as_a_sceptic_that_rebuilds_it_every_step(
+        monkeypatch, rng):
+    reopened = quiet_after_settling = 0
+    for trial in range(40):
+        t, m_max = int(rng.integers(30, 80)), int(rng.integers(2, 12))
+        string = rng.integers(0, 2, size=t)
+        if trial % 2:  # long runs of one symbol drive learners apart
+            string = np.repeat(rng.integers(0, 2, size=t // 8 + 1), 8)[:t]
+        config = {
+            "alphabet_size": 2, "T": t,
+            "forecaster_I": {"kind": "coherent", "measure": random_spec(rng)},
+            "forecaster_II": {"kind": "coherent", "measure": random_spec(rng)},
+            "reality": {"kind": "scripted", "string": string.tolist()},
+            "sceptic": {"J": int(rng.integers(1, 7)), "M_max": m_max,
+                        "lim_wrap": bool(trial % 4 >= 2)},
+            "m_report": 4}
+        want = orders_and_trace(monkeypatch, RebuildingSceptic, config)
+        got = orders_and_trace(monkeypatch, MixtureSceptic, config)
+        assert got == want, config
+        reopened += sum(len(steps) > 1 for steps in got[2])
+        bets = [n for n, (o_i, _) in enumerate(got[0], 1) if o_i[1]]
+        quiet_after_settling += len(bets) > 0 and len(bets) < t
+    assert reopened > 20 and quiet_after_settling > 10  # both paths ran
+
+
+@pytest.mark.parametrize("name", ["singular-pair", "merge-beta"])
+def test_a_quiet_step_builds_no_mixture_law_and_no_idle_set(monkeypatch,
+                                                            name):
+    # counted by wrapping: a mixture's law is built only by a read of it,
+    # never by _child's Bayes step, and the Sceptic rebuilds its idle set
+    # only at step 1 and on the step after a cycle opened or settled
+    reads, builds, sceptics, rebuilt = [0], [0], [], []
+    one_step, mix, child = (FiniteMixture.one_step, FiniteMixture._mix,
+                            FiniteMixture._child)
+    idle_set = MixtureSceptic._idle_set
+
+    def counted_one_step(self, history):
+        reads[0] += not len(history)
+        return one_step(self, history)
+
+    def counted_mix(self):
+        builds[0] += 1
+        return mix(self)
+
+    def uncounted_child(self, y):
+        before = builds[0]
+        out = child(self, y)
+        assert builds[0] == before, "_child built a mixture law"
+        return out
+
+    def counted_idle_set(self):
+        sceptics.append(self)
+        rebuilt.append(self._step)
+        return idle_set(self)
+
+    monkeypatch.setattr(FiniteMixture, "one_step", counted_one_step)
+    monkeypatch.setattr(FiniteMixture, "_mix", counted_mix)
+    monkeypatch.setattr(FiniteMixture, "_child", uncounted_child)
+    monkeypatch.setattr(MixtureSceptic, "_idle_set", counted_idle_set)
+    cfg = ExperimentConfig.from_dict(dict(catalog()[name], T=2000))
+    run_experiment(cfg)
+    assert builds[0] <= reads[0]
+    events = {1}  # the steps after which the idle set may change
+    for comp in sceptics[0].components:
+        events.update(n + 1 for n in comp.bet_steps)
+        events.update(c.start_step + c.horizon for c in comp.cycles)
+    assert set(rebuilt) <= events and len(rebuilt) == len(set(rebuilt))
+    # the parent commit built 2000 idle sets, and 4000 laws on singular-pair
+    assert len(rebuilt) < (10 if name == "singular-pair" else 50)
+    assert builds[0] < 200
 
 
 def test_mixture_requires_component():

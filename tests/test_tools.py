@@ -92,7 +92,7 @@ def test_paired_bench_summarizes_pairs_and_quartiles():
     def run(pair, side, step_us, setup_s, failed=0):
         return {"pair": pair, "side": side, "step_us": step_us,
                 "setup_s": setup_s, "peak_rss_mb": 50.0, "attempted": 4,
-                "failed": failed}
+                "failed": failed, "correct": True, "exit": 0}
 
     runs = [run(1, "parent", 100.0, 0.2), run(1, "change", 90.0, 0.3),
             run(2, "change", 80.0, 0.2), run(2, "parent", 110.0, 0.2, 2),
@@ -104,6 +104,7 @@ def test_paired_bench_summarizes_pairs_and_quartiles():
     assert parent["step_us"] == {"median": 110.0, "q1": 100.0, "q3": 120.0}
     assert change["step_us"] == {"median": 85.0, "q1": 77.5, "q3": 97.5}
     assert parent["runs"] == 5 and change["runs"] == 4
+    assert parent["bad_runs"] == change["bad_runs"] == []
     assert parent["failed_share"] == [0.0, 0.5] and change["failed_share"] == [0.0]
     # a tie counts for neither side; only whole pairs count
     assert out["change_step_us_lower_in_pairs"] == "3/4"
@@ -115,3 +116,35 @@ def test_paired_bench_summarizes_pairs_and_quartiles():
     assert out["runs"] == runs
     one = paired_bench().summarize(runs[:2])["summary"]["parent"]["step_us"]
     assert one == {"median": 100.0, "q1": 100.0, "q3": 100.0}
+
+
+def test_paired_bench_names_each_bad_run_per_side_and_exits_1(monkeypatch):
+    # a run is bad when perfbench exited nonzero or its checks failed;
+    # failed operations alone (a known fault) do not make a run bad
+    def run(pair, side, exit=0, correct=True, failed=0):
+        return {"pair": pair, "side": side, "step_us": 100.0 + pair,
+                "setup_s": 0.2, "peak_rss_mb": 50.0, "attempted": 4,
+                "failed": failed, "correct": correct, "exit": exit}
+
+    runs = [run(1, "parent", failed=2), run(1, "change", 1, False),
+            run(2, "change"), run(2, "parent", exit=1),
+            run(3, "parent", correct=False), run(3, "change")]
+    bench = paired_bench()
+    out = bench.summarize(runs)
+    assert out["summary"]["parent"]["bad_runs"] == [
+        "pair 2: exit 1, correct true", "pair 3: exit 0, correct false"]
+    assert out["summary"]["change"]["bad_runs"] == [
+        "pair 1: exit 1, correct false"]
+    assert out["summary"]["parent"]["failed_share"] == [0.0, 0.5]
+
+    def main(canned):
+        it = iter(canned)
+        monkeypatch.setattr(bench, "run_once", lambda root, w, seed: {
+            k: v for k, v in next(it).items() if k not in ("pair", "side")})
+        monkeypatch.setattr(sys, "argv", ["paired_bench.py", "a", "b",
+                                          "--workload", "w", "--pairs", "1"])
+        return bench.main()
+
+    assert main([run(1, "parent", failed=2), run(1, "change")]) == 0
+    assert main([run(1, "parent"), run(1, "change", correct=False)]) == 1
+    assert main([run(1, "parent", exit=1), run(1, "change")]) == 1

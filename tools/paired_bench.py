@@ -11,8 +11,10 @@ first on even ones. Progress goes to stderr; stdout receives one JSON object:
 every run (pair, side, which side ran first, ``step_us``, ``setup_s``,
 ``peak_rss_mb``, operations attempted and failed, perfbench's exit code),
 each side's median and quartiles per metric (linear interpolation,
-inclusive) with its failed shares, and for each metric in how many pairs
-the change read lower (ties count for neither) and the change of medians.
+inclusive) with its failed shares and its bad runs (the pairs whose
+perfbench exited nonzero or reported ``correct: false``), and for each
+metric in how many pairs the change read lower (ties count for neither) and
+the change of medians. It exits 1 when either side has a bad run.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ def quartiles(values: list) -> dict:
 
 
 def summarize(runs: list) -> dict:
-    """The summary of a list of runs, each a dict with ``pair``, ``side``
-    and the METRICS, ``attempted`` and ``failed``; the runs are kept last."""
+    """The summary of a list of runs, each a dict with ``pair``, ``side``,
+    the METRICS, ``attempted``, ``failed``, ``correct`` and ``exit``; the
+    runs are kept last."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     out: dict = {"summary": {}}
     for side, rs in by_side.items():
@@ -49,6 +52,9 @@ def summarize(runs: list) -> dict:
             **{k: quartiles([r[k] for r in rs]) for k in METRICS},
             "failed_share": sorted({round(r["failed"] / r["attempted"], 4)
                                     for r in rs if r["attempted"]}),
+            "bad_runs": [f"pair {r['pair']}: exit {r['exit']}, correct "
+                         f"{str(r['correct']).lower()}" for r in rs
+                         if r["exit"] or not r["correct"]],
             "runs": len(rs)}
     pairs = {}
     for r in runs:
@@ -105,8 +111,9 @@ def main() -> int:
             runs.append({"pair": pair, "side": side, "first": order[0], **run})
             print(f"pair {pair} {side}: step_us {run['step_us']}",
                   file=sys.stderr, flush=True)
-    print(json.dumps(summarize(runs), indent=1))
-    return 0
+    out = summarize(runs)
+    print(json.dumps(out, indent=1))
+    return 1 if any(out["summary"][s]["bad_runs"] for s in SIDES) else 0
 
 
 if __name__ == "__main__":
