@@ -174,13 +174,13 @@ class ExperimentConfig:
     m_max: int = 64
     lim_wrap: bool = False
     m_report: int = 8
-    seed: int = 0
     budget: int = DEFAULT_BUDGET
     raw: dict = field(default_factory=dict)
+    seed: int = 0  # after raw: so __init__ (and dataclasses.replace) reseeds
 
     def __setattr__(self, name: str, value) -> None:
         if name == "seed" and getattr(self, "raw", None):  # reseeds Reality
-            self.reality = _reality(self.raw["reality"], self.alphabet_size,
+            self.reality = _reality(self.raw.get("reality"), self.alphabet_size,
                                     self.t, _integer(value, "seed", 0), "reality")
         super().__setattr__(name, value)
 
@@ -209,7 +209,7 @@ class ExperimentConfig:
             alphabet_size=a, t=t,
             forecaster_i=_forecaster(d.get("forecaster_I"), a, "forecaster_I"),
             forecaster_ii=_forecaster(d.get("forecaster_II"), a, "forecaster_II"),
-            reality=_reality(d.get("reality"), a, t, seed, "reality"),
+            reality=None,  # built from raw by the seed's assignment
             j_max=_integer(sceptic.get("J", 20), "sceptic.J", 1),
             m_max=_integer(sceptic.get("M_max", 64), "sceptic.M_max", 1),
             lim_wrap=lim_wrap,

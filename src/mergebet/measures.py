@@ -9,7 +9,7 @@ long horizons do not underflow.
 Families:
   * ``IID``            -- fixed weights, memoryless.
   * ``Markov``         -- order-k chain with initial laws for short histories.
-  * ``BetaLearner``    -- Dirichlet/Polya posterior-predictive learner.
+  * ``BetaLearner``    -- Dirichlet/Polya learner; one kernel scores a stack's types.
   * ``FiniteMixture``  -- Bayesian mixture of component measures.
   * ``Conditioned``    -- generic wrapper pinning a prefix of history.
 
@@ -59,8 +59,6 @@ def logsumexp(a, axis=None):
 
 Symbol = int
 String = tuple  # tuple of symbols; () is the empty string
-
-_RAMP = np.arange(256.0)  # Beta rising-factorial offsets; regrown on demand
 
 #: tolerance for checking that a supplied distribution sums to one
 SUM_TOL = 1e-9
@@ -119,7 +117,9 @@ class TypeTable:
     column per (context, y) of ``contexts``, y fastest; order 0 lists the
     count vectors of m), with their ``symbols`` counts, level ``depth``, the
     exact number ``mult`` of strings of the type and its ``log_mult``; levels
-    0..m are the rows up to ``stop[m]``.
+    0..m are the rows up to ``stop[m]``. ``gather`` keeps the Beta kernel's
+    index per (rows, width): y * width plus a row's count of y, and a * width
+    plus its level, each below (a + 1) * width as width exceeds the levels.
     """
 
     def __init__(self, a: int, order: int, context: String):
@@ -137,6 +137,7 @@ class TypeTable:
         self.mult, self.stop, self.rows = [1], [1], [slice(0, 1)]  # by level
         self.depth = np.zeros(1, dtype=np.intp)  # each row's level
         self.log_mult = self._logs(self.counts, self.mult)
+        self.gather: dict = {}  # (rows, width) -> index
 
     def reach(self, m: int, budget: int) -> int:
         """Grow towards level m within ``budget`` rows (a level adds at most
@@ -416,10 +417,13 @@ class BetaLearner(Measure):
     def __init__(self, pseudo_counts):
         a = _positive(pseudo_counts, "pseudo-counts", 1)
         super().__init__(Alphabet(a.size))
-        a.flags.writeable = False
-        self._alpha = a
-        self._alpha0 = float(a.sum())
-        self._rising = None  # type_log_probs' table, built on first use
+        self._set(np.append(a, 0.0)[:, None])
+
+    def _set(self, bases: np.ndarray) -> None:  # one column: alpha_y, alpha0
+        self._alpha = bases[:-1, 0]
+        bases[-1, 0] = alpha0 = np.add.reduce(self._alpha)  # as alpha.sum()
+        bases.flags.writeable = False
+        self._bases, self._alpha0, self._rising = bases, float(alpha0), None
 
     def one_step(self, history: String) -> np.ndarray:
         history = tuple(history)
@@ -439,33 +443,39 @@ class BetaLearner(Measure):
         # bypass __init__ checks: posterior counts of a valid learner stay valid
         b = BetaLearner.__new__(BetaLearner)
         Measure.__init__(b, self.alphabet)
-        a = self._alpha.copy()
-        a[y] += 1.0
-        a.flags.writeable = False
-        b._alpha = a
-        b._alpha0 = float(a.sum())
-        b._rising = None
+        bases = self._bases.copy()
+        bases[y, 0] += 1.0
+        b._set(bases)
         return b
 
     def type_key(self):
         return 0, ()
 
     def type_log_probs(self, table: TypeTable, rows: slice) -> np.ndarray:
-        # running sums of log(alpha_y + i), last row log(alpha0 + i), read at
-        # each row's level (log-gamma differences near n lose ~eps * n log n)
-        global _RAMP
-        m = int(table.depth[rows.stop - 1])
-        cum = self._rising
-        if cum is None or cum.shape[1] <= m:
-            if _RAMP.size < m:
-                _RAMP = np.arange(2.0 * m)
-            cum = self._rising = np.zeros((self.a + 1, m + 1))
-            ends = np.empty((self.a + 1, 1))
-            ends[:-1, 0], ends[-1, 0] = self._alpha, self._alpha0
-            np.cumsum(np.log(ends + _RAMP[:m]), axis=1, out=cum[:, 1:])
-        c = table.symbols[rows]
-        return reduce(np.add, [cum[y].take(c[:, y]) for y in range(self.a)]
-                      ) - cum[-1].take(table.depth[rows])
+        # the stacked kernel on [self], whose sums serve lower levels later
+        self._rising, (out,) = BetaLearner.stacked_log_probs(
+            [self], table, rows, self._rising)
+        return out
+
+    @staticmethod
+    def stacked_log_probs(learners: Sequence["BetaLearner"], table: TypeTable,
+                          rows: slice, sums: Optional[np.ndarray] = None) -> tuple:
+        """(sums, each learner's ``type_log_probs`` of ``rows``), by one kernel:
+        unless ``sums`` reaches the rows' levels, a stack of each learner's
+        log(alpha_y + i) and log(alpha0 + i) summed over i < j in column j; one
+        ``take`` (index ``table.gather``); per learner, its symbols' reads added
+        in order less its level's (log-gamma differences lose ~eps * n log n)."""
+        m = table.depth[rows.stop - 1]
+        if sums is None or sums.shape[1] <= m:
+            bases = np.concatenate([b._bases for b in learners])
+            sums = np.zeros((len(bases), m + 1))
+            np.add.accumulate(np.log(bases + np.arange(m)), axis=1, out=sums[:, 1:])
+        key = rows.start, rows.stop, sums.shape[1]
+        if key not in table.gather:  # a row never changes as the table grows
+            index = np.vstack([table.symbols[rows].T, table.depth[rows]])
+            table.gather[key] = index + key[2] * np.arange(len(index))[:, None]
+        reads = sums.reshape(len(learners), -1).take(table.gather[key], axis=1)
+        return sums, [reduce(np.add, r[:-1]) - r[-1] for r in reads]
 
 
 class FiniteMixture(Measure):

@@ -31,7 +31,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, DomainError
-from .measures import FiniteMixture, Measure, String, _tail, joint_type, type_table
+from .measures import (BetaLearner, FiniteMixture, Measure, String, _tail,
+                       joint_type, type_table)
 
 #: default cap on the number of enumerated strings a**m
 DEFAULT_BUDGET = 2 ** 22
@@ -114,6 +115,7 @@ def _type_levels(measures: Sequence[Measure], budget: int
     types = joint_type(measures)
     t = None if types is None else type_table(measures[0].a, *types)
     memo, every = {}, [((),)]  # every: the one pass
+    beta = all(type(x) is BetaLearner for x in measures)
 
     def level(m: int):
         if m not in memo and t is not None and t.reach(m, budget) >= m:
@@ -121,9 +123,10 @@ def _type_levels(measures: Sequence[Measure], budget: int
             if len(every[0][0]) < rows.stop:  # not in the pass, if there is one
                 deep = DEEPEST[t.key[:2]] = max(DEEPEST.get(t.key[:2], 0), m)
                 top = t.stop[t.reach(deep, budget) if deep > m else m]
-                if top <= SMALL_TABLE:
-                    every[0] = (t.log_mult[:top], *[
-                        x.type_log_probs(t, slice(0, top)) for x in measures])
+                if top <= SMALL_TABLE:  # Beta learners alone: one stacked kernel
+                    every[0] = (t.log_mult[:top], *(BetaLearner.stacked_log_probs(
+                        measures, t, slice(0, top))[1] if beta else [
+                        x.type_log_probs(t, slice(0, top)) for x in measures]))
             memo[m] = (every[0], rows) if len(every[0][0]) >= rows.stop else ((
                 t.log_mult[rows], *[x.type_log_probs(t, rows) for x in measures]),
                 None)

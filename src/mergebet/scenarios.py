@@ -15,7 +15,7 @@ affinity floor 1 - H_m <= 2 * delta holds at all horizons.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -74,9 +74,9 @@ class ScriptedForecaster:
 
 # -- reality ------------------------------------------------------------------
 
-def _draw(rng, p: np.ndarray) -> int:
+def _draw(rng, p, total) -> int:
     # inverse-cdf draw; cheaper than rng.choice for small alphabets
-    u = rng.random() * p.sum()
+    u = rng.random() * total
     acc = 0.0
     for y in range(len(p) - 1):
         acc += p[y]
@@ -85,15 +85,23 @@ def _draw(rng, p: np.ndarray) -> int:
     return len(p) - 1
 
 
+def _law(measure: Measure) -> Callable[[Sequence[int]], tuple]:
+    """history -> (law, numpy sum) for ``_draw``; read once, as floats, if i.i.d."""
+    f, p = CoherentForecaster(measure), measure.one_step(())
+    law = p.tolist(), p.sum()
+    return (lambda history: law) if f._memoryless else (
+        lambda history: (q := f.conditional(history).one_step(()), q.sum()))
+
+
 class SampledReality:
     def __init__(self, measure: Measure, seed):
-        self._law = CoherentForecaster(measure)
+        self._law = _law(measure)
         self.seed, self.rng = seed, None  # built by the first draw
 
     def next(self, n: int, history: String) -> int:
         if n == 1 or self.rng is None:
             self.rng = np.random.default_rng(self.seed)
-        return _draw(self.rng, self._law.conditional(history).one_step(()))
+        return _draw(self.rng, *self._law(history))
 
 
 class ScriptedReality:
@@ -111,14 +119,13 @@ class SwitchingReality:
 
     def __init__(self, step: int, before: Measure, after: Measure, seed):
         self.step = step
-        self._laws = CoherentForecaster(before), CoherentForecaster(after)
+        self._laws = _law(before), _law(after)
         self.seed, self.rng = seed, None  # built by the first draw
 
     def next(self, n: int, history: String) -> int:
         if n == 1 or self.rng is None:
             self.rng = np.random.default_rng(self.seed)
-        law = self._laws[n > self.step].conditional(history)
-        return _draw(self.rng, law.one_step(()))
+        return _draw(self.rng, *self._laws[n > self.step](history))
 
 
 # -- shipped catalog (config form; see harness for the schema) -----------------

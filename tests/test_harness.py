@@ -1,5 +1,6 @@
 """Config parsing, experiment driver, traces, and brute-force oracles."""
 
+import dataclasses
 import errno
 import json
 import math
@@ -556,14 +557,15 @@ def test_a_spec_that_raises_is_not_kept():
 
 def test_type_scoring_does_not_depend_on_how_far_the_shared_table_grew(
         monkeypatch):
-    # merge-beta's 153-row table at M_max = 16 is scored in one pass per
-    # fresh posterior, whether or not another game grew it to level 64 before
+    # merge-beta's 153-row table at M_max = 16 is scored by one stacked
+    # kernel call per fresh posterior pair (a learner's own type_log_probs
+    # calls it too), whether or not another game grew it to level 64 before
     calls = [0]
-    type_log_probs = measures.BetaLearner.type_log_probs
+    stacked = measures.BetaLearner.stacked_log_probs
 
-    def counted(self, table, rows):
+    def counted(*args):
         calls[0] += 1
-        return type_log_probs(self, table, rows)
+        return stacked(*args)
 
     def per_step():
         calls[0] = 0
@@ -572,11 +574,12 @@ def test_type_scoring_does_not_depend_on_how_far_the_shared_table_grew(
         run_experiment(cfg)
         return calls[0] / cfg.t
 
-    monkeypatch.setattr(measures.BetaLearner, "type_log_probs", counted)
+    monkeypatch.setattr(measures.BetaLearner, "stacked_log_probs",
+                        staticmethod(counted))
     measures.type_table.cache_clear()  # as a fresh process: no test grew it
-    fresh = per_step()
+    assert per_step() == 1.0
     measures.type_table(2, 0, ()).reach(64, metrics.DEFAULT_BUDGET)
-    assert per_step() == fresh <= 2.0
+    assert per_step() == 1.0
 
 
 def coherent(measure):
@@ -748,6 +751,12 @@ def test_a_seed_set_on_a_parsed_config_reseeds_its_reality():
     with pytest.raises(ConfigError, match="seed"):
         cfg.seed = -1
     assert cfg.seed == 2 and run_experiment(cfg).to_csv() == want
+    # dataclasses.replace builds a config anew, so its seed reseeds as well
+    parsed = ExperimentConfig.load("singular-pair")
+    parsed.t = 300
+    again = dataclasses.replace(parsed, seed=2)
+    assert again.reality is not parsed.reality
+    assert run_experiment(again).to_csv() == want
     # a Reality that names its own seed, or scripts its string, keeps it
     own = {"kind": "switch_at", "step": 12, "before": FAIR, "seed": 4,
            "after": {"family": "iid", "weights": [0.8, 0.2]}}

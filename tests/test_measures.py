@@ -14,6 +14,7 @@ from mergebet.errors import CromwellViolation, DomainError
 from mergebet.measures import (Alphabet, BetaLearner, Conditioned, FiniteMixture,
                                IID, Markov, Measure, bernoulli, joint_type,
                                logsumexp, type_table)
+from mergebet import metrics
 from mergebet.metrics import DEFAULT_BUDGET
 from mergebet.scenarios import CoherentForecaster
 
@@ -607,17 +608,65 @@ def rising_factorial_log_probs(b, table, m):
 
 
 def test_beta_type_log_probs_equal_the_rising_factorial_formula(rng):
-    # bit for bit, also when a table regrows (8, 16, 300 past the shared
-    # offsets) or serves a lower level than it was built for
+    # bit for bit, also when a table regrows (8, 16, 300), a learner's kept
+    # sums end one level short (17) or serve a lower level than they were
+    # built for, and after 10^4 symbols; one learner alone, or 2 and 3
+    # stacked into one kernel call, one level or a pass over levels 0..m
     path = tuple(int(y) for y in rng.integers(0, 2, size=10_000))
-    for b in (BetaLearner([0.5, 2.0]), BetaLearner([1.3, 0.7, 2.9]),
-              random_beta(rng, 3).child(2),
-              BetaLearner([0.5, 0.5]).condition(path)):
-        table = type_table(b.a, 0, ())
-        for m in (0, 8, 16, 4, 0) + ((300, 5) if b.a == 2 else ()):
+    learners = (BetaLearner([0.5, 2.0]), BetaLearner([1.3, 0.7, 2.9]),
+                random_beta(rng, 3).child(2),
+                BetaLearner([0.5, 0.5]).condition(path))
+    for b in learners + (BetaLearner(rng.uniform(0.1, 3.0, 9)).child(4),):
+        assert b._bases[-1, 0] == b._alpha0 == b._alpha.sum()  # numpy's sum
+    stacks = [(b,) for b in learners] + [
+        learners[1:3], learners[1:3] + learners[1:2],
+        learners[::3], learners[::3] + (BetaLearner([5.0, 5.0]).child(1),)]
+    for stack in stacks:
+        table = type_table(stack[0].a, 0, ())
+        for m in (0, 8, 16, 17, 4, 0) + ((300, 5) if stack[0].a == 2 else ()):
             assert table.reach(m, DEFAULT_BUDGET) == m
-            assert np.array_equal(b.type_log_probs(table, table.rows[m]),
-                                  rising_factorial_log_probs(b, table, m))
+            _, level = BetaLearner.stacked_log_probs(stack, table, table.rows[m])
+            _, span = BetaLearner.stacked_log_probs(
+                stack, table, slice(0, table.stop[m]))
+            for b, got, every in zip(stack, level, span, strict=True):
+                want = rising_factorial_log_probs(b, table, m)
+                assert np.array_equal(got, want)
+                assert np.array_equal(every[table.rows[m]], want)
+                if len(stack) == 1:
+                    assert np.array_equal(b.type_log_probs(
+                        table, table.rows[m]), want)
+
+
+def test_a_pass_of_beta_learners_alone_is_one_stacked_kernel_call(
+        rng, monkeypatch):
+    sizes = []
+    stacked = BetaLearner.stacked_log_probs
+
+    def counted(learners, *args):
+        sizes.append(len(learners))
+        return stacked(learners, *args)
+
+    monkeypatch.setattr(BetaLearner, "stacked_log_probs", staticmethod(counted))
+    monkeypatch.setattr(metrics, "DEEPEST", {})  # a pass, as in a fresh game
+    f = BetaLearner([0.5, 0.5]).condition((0, 1, 1))
+    p, q = BetaLearner([5.0, 5.0]).child(0), BetaLearner([2.0, 1.0])
+    m, table = 12, type_table(2, 0, ())
+    table.reach(m, DEFAULT_BUDGET)
+    lf, lp, lq = (rising_factorial_log_probs(x, table, m) for x in (f, p, q))
+    want = float(np.exp(table.log_mult[table.rows[m]] + lf
+                        + 0.5 * (lq - lp)).sum())
+    assert metrics.expectation_sqrt_ratio(f, p, q, m) == want
+    assert sizes == [3]
+    # a pass of mixed families scores each measure by its own type_log_probs
+    mix = FiniteMixture([0.3, 0.7], [random_iid(rng, 2), p])
+    chain = Conditioned(random_markov(rng, 2, order=1), (1,))
+    for other in (mix, chain):
+        sizes.clear()
+        (lc, lb, lo), rows = metrics._type_levels((f, other), DEFAULT_BUDGET)(m)
+        t = type_table(2, *joint_type((f, other)))
+        assert rows == t.rows[m] and sizes and set(sizes) == {1}
+        assert np.array_equal(lb[rows], rising_factorial_log_probs(f, t, m))
+        assert np.array_equal(lo[rows], other.type_log_probs(t, rows))
 
 
 def test_one_pass_over_levels_equals_each_level_bit_for_bit(rng):

@@ -12,7 +12,7 @@ from mergebet.measures import (BetaLearner, FiniteMixture, IID, Markov, Measure,
 from mergebet.metrics import hellinger_restricted
 from mergebet.scenarios import (CoherentForecaster, SampledReality,
                                 ScriptedForecaster, ScriptedReality,
-                                SwitchingReality, _draw, catalog)
+                                SwitchingReality, catalog)
 
 
 # -- forecasters ---------------------------------------------------------------
@@ -121,11 +121,23 @@ def test_switching_reality_frequency():
     assert abs(freq - 0.9) < 0.01
 
 
+def draw_as_before(rng, p):
+    """Reality's inverse-cdf draw as it read a law: numpy scalars and the
+    array's sum on every step."""
+    u = rng.random() * p.sum()
+    acc = 0.0
+    for y in range(len(p) - 1):
+        acc += p[y]
+        if u < acc:
+            return y
+    return len(p) - 1
+
+
 def draws_from_full_history(seed, law_at, t):
     """Reality's draws as made from the whole history at every step."""
     rng, path = np.random.default_rng(seed), []
     for n in range(1, t + 1):
-        path.append(_draw(rng, law_at(n).one_step(tuple(path))))
+        path.append(draw_as_before(rng, law_at(n).one_step(tuple(path))))
     return path
 
 
@@ -147,6 +159,18 @@ def test_realities_draw_the_same_paths_one_symbol_at_a_time():
     switch = SwitchingReality(150, before, chain, 9)
     assert play_reality(switch, 400) == draws_from_full_history(
         9, lambda n: before if n <= 150 else chain, 400)
+
+
+def test_a_draw_from_floats_read_once_draws_as_before():
+    # a memoryless law's floats and numpy sum are read once, a chain's each
+    # step: over 10^4 steps both draw what the numpy-scalar draw drew
+    chain = Markov([[0.7, 0.3], [0.45, 0.55]], initial=[0.6, 0.4])
+    for measure in (IID([0.2, 0.3, 0.5]), chain):
+        rng, m, want = np.random.default_rng(8), measure, []
+        for _ in range(10_000):
+            want.append(draw_as_before(rng, m.one_step(())))
+            m = m.child(want[-1])
+        assert play_reality(SampledReality(measure, 8), 10_000) == want
 
 
 def test_a_sampling_reality_restarts_its_draws_at_step_one():

@@ -99,7 +99,11 @@ def test_paired_bench_summarizes_pairs_and_quartiles():
             run(3, "parent", 120.0, 0.1), run(3, "change", 120.0, 0.1),
             run(4, "parent", 130.0, 0.4), run(4, "change", 70.0, 0.5),
             run(5, "parent", 90.0, 0.3)]  # a pair left unfinished
-    out = paired_bench().summarize(runs)
+    bench = paired_bench()
+    limits = bench.bounds()  # read from BENCHMARK.json
+    assert limits == {"step_us": (0.25, "lower"), "setup_s": (0.25, "lower"),
+                      "peak_rss_mb": (0.05, "lower")}
+    out = bench.summarize(runs, limits)
     parent, change = out["summary"]["parent"], out["summary"]["change"]
     assert parent["step_us"] == {"median": 110.0, "q1": 100.0, "q3": 120.0}
     assert change["step_us"] == {"median": 85.0, "q1": 77.5, "q3": 97.5}
@@ -114,7 +118,20 @@ def test_paired_bench_summarizes_pairs_and_quartiles():
     assert out["step_us_gap_vs_parent_iqr"] == [25.0, 20.0]
     assert out["peak_rss_mb_median_change"] == "+0.0%"
     assert out["runs"] == runs
-    one = paired_bench().summarize(runs[:2])["summary"]["parent"]["step_us"]
+    # every metric gets the same verdict: setup_s's median rose 0.2 -> 0.25
+    # against a parent IQR of 0.1, within a bound of 0.5 but not of 0.1
+    assert out["setup_s_median_change"] == "+25.0%"
+    assert out["setup_s_gap_vs_parent_iqr"] == [-0.05, 0.1]
+    assert out["peak_rss_mb_gap_vs_parent_iqr"] == [0.0, 0.0]
+    assert out["step_us_worse_than_bound"] is False
+    assert out["peak_rss_mb_worse_than_bound"] is False
+    for bound, worse in ((0.5, False), (0.1, True)):
+        out = bench.summarize(runs, dict(limits, setup_s=(bound, "lower")))
+        assert out["setup_s_worse_than_bound"] is worse
+    # a metric whose higher reading is better is worse when it falls
+    out = bench.summarize(runs, dict(limits, step_us=(0.1, "higher")))
+    assert out["step_us_worse_than_bound"] is True
+    one = bench.summarize(runs[:2], limits)["summary"]["parent"]["step_us"]
     assert one == {"median": 100.0, "q1": 100.0, "q3": 100.0}
 
 
@@ -130,7 +147,7 @@ def test_paired_bench_names_each_bad_run_per_side_and_exits_1(monkeypatch):
             run(2, "change"), run(2, "parent", exit=1),
             run(3, "parent", correct=False), run(3, "change")]
     bench = paired_bench()
-    out = bench.summarize(runs)
+    out = bench.summarize(runs, bench.bounds())
     assert out["summary"]["parent"]["bad_runs"] == [
         "pair 2: exit 1, correct true", "pair 3: exit 0, correct false"]
     assert out["summary"]["change"]["bad_runs"] == [

@@ -12,9 +12,13 @@ every run (pair, side, which side ran first, ``step_us``, ``setup_s``,
 ``peak_rss_mb``, operations attempted and failed, perfbench's exit code),
 each side's median and quartiles per metric (linear interpolation,
 inclusive) with its failed shares and its bad runs (the pairs whose
-perfbench exited nonzero or reported ``correct: false``), and for each
-metric in how many pairs the change read lower (ties count for neither) and
-the change of medians. It exits 1 when either side has a bad run.
+perfbench exited nonzero or reported ``correct: false``), and a verdict on
+each metric: in how many pairs the change read lower (ties count for
+neither), the change of medians, the gap of medians (parent less change)
+beside the parent's interquartile range, and whether the change's median is
+worse than the parent's by more than the metric's ``bound`` in the
+``BENCHMARK.json`` beside this tool. It exits 1 when either side has a bad
+run.
 """
 
 from __future__ import annotations
@@ -41,10 +45,18 @@ def quartiles(values: list) -> dict:
             "q1": round(q1, 4), "q3": round(q3, 4)}
 
 
-def summarize(runs: list) -> dict:
+def bounds() -> dict:
+    """Each end-to-end metric's (bound, better) in this checkout's
+    ``BENCHMARK.json``."""
+    bench = json.loads((Path(__file__).resolve().parents[1]
+                        / "BENCHMARK.json").read_text())
+    return {m["name"]: (m["bound"], m["better"]) for m in bench["end_to_end"]}
+
+
+def summarize(runs: list, limits: dict) -> dict:
     """The summary of a list of runs, each a dict with ``pair``, ``side``,
-    the METRICS, ``attempted``, ``failed``, ``correct`` and ``exit``; the
-    runs are kept last."""
+    the METRICS, ``attempted``, ``failed``, ``correct`` and ``exit``, judged
+    by ``limits`` as ``bounds`` gives them; the runs are kept last."""
     by_side = {side: [r for r in runs if r["side"] == side] for side in SIDES}
     out: dict = {"summary": {}}
     for side, rs in by_side.items():
@@ -65,12 +77,14 @@ def summarize(runs: list) -> dict:
         out[f"change_{k}_lower_in_pairs"] = f"{lower}/{len(whole)}"
         parent = out["summary"]["parent"][k]
         change = out["summary"]["change"][k]
-        out[f"{k}_median_change"] = (
-            f"{change['median'] / parent['median'] - 1:+.1%}")
-        if k == "step_us":
-            out["step_us_gap_vs_parent_iqr"] = [
-                round(parent["median"] - change["median"], 2),
-                round(parent["q3"] - parent["q1"], 2)]
+        ratio = change["median"] / parent["median"] - 1
+        out[f"{k}_median_change"] = f"{ratio:+.1%}"
+        out[f"{k}_gap_vs_parent_iqr"] = [
+            round(parent["median"] - change["median"], DIGITS[k]),
+            round(parent["q3"] - parent["q1"], DIGITS[k])]
+        bound, better = limits[k]
+        out[f"{k}_worse_than_bound"] = (
+            ratio if better == "lower" else -ratio) > bound
     out["runs"] = runs
     return out
 
@@ -111,7 +125,7 @@ def main() -> int:
             runs.append({"pair": pair, "side": side, "first": order[0], **run})
             print(f"pair {pair} {side}: step_us {run['step_us']}",
                   file=sys.stderr, flush=True)
-    out = summarize(runs)
+    out = summarize(runs, bounds())
     print(json.dumps(out, indent=1))
     return 1 if any(out["summary"][s]["bad_runs"] for s in SIDES) else 0
 
